@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, harness, net
-from .datagen import BetaScaled, Cohort, TruncNormal, fixed_cohort, iid_cohort
+from .datagen import Cohort, fixed_cohort, iid_cohort
 from .params import choose_params
 from .protocol import ProtocolConfig, Transcript, run_private_min
 
@@ -88,18 +88,6 @@ def _parse_epsilon(text: str) -> float:
     return value
 
 
-def _build_model(args):
-    kind = args.model
-    x_min, delta = args.x_min, args.delta
-    if kind == "uniform":
-        return BetaScaled(1.0, 1.0, x_min, delta)
-    if kind == "beta":
-        return BetaScaled(args.model_alpha, args.model_beta, x_min, delta)
-    if kind == "truncnorm":
-        return TruncNormal(args.mu, args.sigma, x_min, x_min + delta)
-    raise UsageError(f"unknown model {kind!r}")
-
-
 def _simulate_cohort(args, rng) -> Cohort:
     if args.data is not None:
         try:
@@ -113,7 +101,8 @@ def _simulate_cohort(args, rng) -> Cohort:
         return Cohort(np.array(values), args.setting)
     if args.n is None:
         raise UsageError("either --n (with --model) or --data is required")
-    model = _build_model(args)
+    model = harness.ModelTemplate(args.model, args.model_alpha, args.model_beta, args.delta,
+                                  args.mu, args.sigma).place(args.x_min)
     if args.setting == "fixed":
         return fixed_cohort(model, args.n)
     return iid_cohort(model, args.n, rng)

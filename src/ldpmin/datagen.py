@@ -12,10 +12,10 @@ Cohorts come in two flavours:
   empirical CDF of the cohort interpolates F exactly;
 * iid: users hold independent draws from F.
 
-Quantiles of the parametric models are computed by bisection on the CDF
-(monotone, derivative-free, and robust next to the density singularities
-that appear when the fatness exponent drops below 1); sampling is inverse
-CDF from one uniform per value so that seeded runs are replayable.
+Quantiles of the parametric models are closed forms (the inverse incomplete
+beta function; the normal quantile on the side of the mean where the
+support's tail keeps its relative precision), clamped to the support; sampling
+is inverse CDF from one uniform per value so that seeded runs are replayable.
 """
 
 from __future__ import annotations
@@ -26,24 +26,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-_BISECT_STEPS = 48  # halves a width-2 bracket below 1e-14, past the 1e-12 target
 
-
-def _bisect_quantile(model, q: np.ndarray) -> np.ndarray:
-    """inf{x : cdf(x) >= q} by bisection, exact at the support endpoints."""
-    q = np.asarray(q, dtype=float)
-    if np.any((q < 0.0) | (q > 1.0)):
+def _check_levels(qs: np.ndarray) -> None:
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
         raise ValueError("quantile levels must lie in [0, 1]")
-    lo = np.full(q.shape, model.x_min)
-    hi = np.full(q.shape, model.x_max)
-    for _ in range(_BISECT_STEPS):
-        mid = lo + (hi - lo) / 2.0
-        ge = model.cdf(mid) >= q
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
-    # the endpoint levels denote the support edges exactly; q = 0 in
-    # particular means the left edge, not inf over the whole line
-    return np.where(q == 0.0, model.x_min, np.where(q == 1.0, model.x_max, hi))
+
+
+def _clamped_quantile(model, q):
+    """The model's closed-form inverse CDF, clamped to the support and exact at its endpoints."""
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    _check_levels(qs)
+    x = np.clip(model._inverse(qs), model.x_min, model.x_max)
+    # the endpoint levels denote the support edges exactly, whatever the
+    # rounding of the inverse
+    out = np.where(qs == 0.0, model.x_min, np.where(qs == 1.0, model.x_max, x))
+    return float(out[0]) if np.isscalar(q) else out
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,11 @@ class BetaScaled:
         out = special.betainc(self.alpha, self.beta, u)
         return float(out) if np.isscalar(x) else out
 
+    def _inverse(self, qs):
+        return self.x_min + self.delta * special.betaincinv(self.alpha, self.beta, qs)
+
     def quantile(self, q):
-        out = _bisect_quantile(self, np.atleast_1d(q))
-        return float(out[0]) if np.isscalar(q) else out
+        return _clamped_quantile(self, q)
 
 
 @dataclass(frozen=True)
@@ -105,26 +104,44 @@ class TruncNormal:
             raise ValueError(
                 f"need -1 <= x_min < x_max <= 1, got [{self.x_min}, {self.x_max}]"
             )
+        if not self._mass >= np.finfo(float).tiny:
+            raise ValueError(
+                f"support [{self.x_min}, {self.x_max}] carries no probability mass "
+                f"in float64 under Normal({self.mu}, {self.sigma}^2)"
+            )
 
     @property
     def fat_alpha(self) -> float:
         # any truncated density is bounded away from zero near its minimum
         return 1.0
 
-    def _standardized(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
+    @property
+    def _side(self) -> float:
+        # above the mean Phi(b) - Phi(a) cancels to 0 while the survival
+        # function Phi(-t) keeps full relative precision, so mirror there
+        return -1.0 if self.x_min + self.x_max > 2.0 * self.mu else 1.0
+
+    def _phi(self, x):
+        """Phi(side * (x - mu) / sigma): monotone in x, decreasing when side = -1."""
+        return special.ndtr(self._side * (np.asarray(x, dtype=float) - self.mu) / self.sigma)
+
+    @property
+    def _mass(self) -> float:
+        """Normal probability of the support, the truncation's normalizer."""
+        return float(abs(self._phi(self.x_max) - self._phi(self.x_min)))
 
     def cdf(self, x):
         _check_domain(x)
-        a = special.ndtr(self._standardized(self.x_min))
-        b = special.ndtr(self._standardized(self.x_max))
         xs = np.clip(np.asarray(x, dtype=float), self.x_min, self.x_max)
-        out = (special.ndtr(self._standardized(xs)) - a) / (b - a)
+        out = np.abs(self._phi(xs) - self._phi(self.x_min)) / self._mass
         return float(out) if np.isscalar(x) else out
 
+    def _inverse(self, qs):
+        a, b = self._phi(self.x_min), self._phi(self.x_max)
+        return self.mu + self._side * self.sigma * special.ndtri(a + qs * (b - a))
+
     def quantile(self, q):
-        out = _bisect_quantile(self, np.atleast_1d(q))
-        return float(out[0]) if np.isscalar(q) else out
+        return _clamped_quantile(self, q)
 
 
 @dataclass(frozen=True)
@@ -165,8 +182,7 @@ class EmpiricalCDF:
 
     def quantile(self, q):
         qs = np.atleast_1d(np.asarray(q, dtype=float))
-        if np.any((qs < 0.0) | (qs > 1.0)):
-            raise ValueError("quantile levels must lie in [0, 1]")
+        _check_levels(qs)
         idx = np.maximum(np.ceil(qs * self.n).astype(int), 1) - 1
         out = self.values[idx]
         return float(out[0]) if np.isscalar(q) else out
@@ -176,11 +192,6 @@ def _check_domain(x) -> None:
     xs = np.asarray(x, dtype=float)
     if np.any(xs < -1.0) or np.any(xs > 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
-
-
-def cdf(model, x):
-    """CDF of a data model at x (x constrained to the data domain [-1, 1])."""
-    return model.cdf(x)
 
 
 @dataclass(frozen=True)
@@ -244,16 +255,11 @@ def fatness_constant(model) -> tuple[float, float]:
         c0 = min(1.0, 1.0 / (model.alpha * special.beta(model.alpha, model.beta)))
         return c0 / model.delta**model.alpha, model.x_max
     if isinstance(model, TruncNormal):
-        a = (model.x_min - model.mu) / model.sigma
-        b = (model.x_max - model.mu) / model.sigma
-        z = special.ndtr(b) - special.ndtr(a)
-        dens = min(_normal_pdf(a), _normal_pdf(b)) / (model.sigma * z)
+        # the density is smallest at the support edge farther from mu
+        t = max(model.mu - model.x_min, model.x_max - model.mu) / model.sigma
+        dens = math.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * model.sigma * model._mass)
         return dens, model.x_max
     raise TypeError(f"no closed-form fatness constant for {type(model).__name__}")
-
-
-def _normal_pdf(t: float) -> float:
-    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
 def rescale_to_unit(x: float, lo: float, hi: float) -> float:

@@ -36,6 +36,7 @@ from .mechanisms import (
     laplace_noise_many,
     phi_correction,
     randomized_response,
+    rr_keep_probability,
     rr_respond_many,
 )
 
@@ -188,6 +189,7 @@ def run_private_min(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rn
     n = config.n
     budget = config.round_budget
     correction = phi_correction(budget)
+    p_keep = rr_keep_probability(budget)
     degenerate = config.gamma > 0.5 * correction + 0.5
 
     interval = Interval(-1.0, 1.0)
@@ -195,10 +197,12 @@ def run_private_min(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rn
     for t in range(1, config.depth + 1):
         tau = interval.midpoint
         if user_rngs is not None:
-            z = np.array([user_respond(x, tau, budget, g) for x, g in zip(values, user_rngs)])
+            sum_z = sum(user_respond(x, tau, budget, g) for x, g in zip(values, user_rngs))
         else:
-            z = respond_round(values, tau, budget, rng)
-        sum_z = int(z.sum())
+            # an answer is +1 iff the raw bit and the keep draw agree: the sum of
+            # respond_round(values, tau, budget, rng) from the same N uniforms
+            kept = rng.random(n) < p_keep
+            sum_z = 2 * int(np.count_nonzero((values <= tau) == kept)) - n
         phi = correction * sum_z / (2.0 * n) + 0.5
         if phi >= config.gamma:
             branch, interval = BRANCH_LEFT, interval.left_half()

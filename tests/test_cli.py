@@ -62,6 +62,15 @@ class TestSimulate:
             "--epsilon", "1", "--depth", "2", "--gamma", "0.1",
         ])
         assert code == 2
+        for model_args in (["--model", "uniform", "--x-min", "0.5", "--delta", "1"],
+                           ["--model", "truncnorm", "--sigma", "0.01", "--x-min", "0.5",
+                            "--delta", "0.5"]):
+            code, _, err = run_main(capsys, [
+                "simulate", *model_args, "--n", "5",
+                "--epsilon", "1", "--depth", "2", "--gamma", "0.1",
+            ])
+            assert code == 2, model_args
+            assert err.startswith("error:")
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "transcript.jsonl"

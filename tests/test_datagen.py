@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
+from scipy import special, stats
 
 from ldpmin.datagen import (
     BetaScaled,
     Cohort,
     EmpiricalCDF,
     TruncNormal,
-    cdf,
     fatness_constant,
     fixed_cohort,
     iid_cohort,
@@ -31,6 +30,14 @@ PARAMETRIC_MODELS = [
     TruncNormal(0.4, 0.25, -0.5, 0.8),
 ]
 
+# supports many sigmas out in one tail: Phi(b) - Phi(a) cancels to 0 above
+# the mean, so these need the survival-side evaluation
+FAR_TAIL_MODELS = [
+    TruncNormal(0.0, 0.05, 0.5, 1.0),
+    TruncNormal(0.0, 0.05, -1.0, -0.5),
+    TruncNormal(-0.3, 0.02, 0.2, 0.9),
+]
+
 
 class TestCdf:
     def test_uniform_is_linear(self):
@@ -41,16 +48,16 @@ class TestCdf:
 
     def test_support_endpoints(self):
         for model in PARAMETRIC_MODELS:
-            assert cdf(model, model.x_min) == pytest.approx(0.0, abs=1e-12)
-            assert cdf(model, model.x_max) == pytest.approx(1.0, abs=1e-12)
+            assert model.cdf(model.x_min) == pytest.approx(0.0, abs=1e-12)
+            assert model.cdf(model.x_max) == pytest.approx(1.0, abs=1e-12)
 
     def test_square_law_point(self):
         # shape (2, 1) on [-1, 1]: F(x) = ((x+1)/2)^2, so F(0) = 1/4
-        assert cdf(BetaScaled(2.0, 1.0, -1.0, 2.0), 0.0) == pytest.approx(0.25, rel=1e-12)
+        assert BetaScaled(2.0, 1.0, -1.0, 2.0).cdf(0.0) == pytest.approx(0.25, rel=1e-12)
 
     def test_outside_domain_rejected(self):
         with pytest.raises(ValueError):
-            cdf(BetaScaled(1.0, 1.0, -1.0, 2.0), 1.5)
+            BetaScaled(1.0, 1.0, -1.0, 2.0).cdf(1.5)
 
     def test_truncnorm_midpoint_symmetry(self):
         model = TruncNormal(0.0, 0.7, -1.0, 1.0)
@@ -69,14 +76,79 @@ class TestQuantileInversion:
             )
             assert np.allclose(ours, oracle, atol=1e-9)
 
-    def test_endpoints_exact(self):
+    def test_round_trip_through_cdf_and_monotone(self):
+        # grid step 5e-4 keeps alpha = 0.5 clear of its infinite density at
+        # x_min, where one ulp of x already moves F by more than 1e-12
+        qs = np.linspace(0.0, 1.0, 2001)
+        for model in PARAMETRIC_MODELS + FAR_TAIL_MODELS:
+            xs = model.quantile(qs)
+            assert np.max(np.abs(model.cdf(xs) - qs)) <= 1e-12, repr(model)
+            assert np.all(np.diff(xs) >= 0.0), repr(model)
+
+    def test_beta_matches_scipy_ppf(self):
+        qs = np.linspace(0.0, 1.0, 1001)
         for model in PARAMETRIC_MODELS:
+            if not isinstance(model, BetaScaled):
+                continue
+            oracle = stats.beta.ppf(qs, model.alpha, model.beta,
+                                    loc=model.x_min, scale=model.delta)
+            assert np.allclose(model.quantile(qs), oracle, rtol=0.0, atol=1e-12), repr(model)
+
+    def test_truncnorm_matches_scipy_ppf(self):
+        qs = np.linspace(0.0, 1.0, 1001)
+        for model in PARAMETRIC_MODELS + FAR_TAIL_MODELS:
+            if not isinstance(model, TruncNormal):
+                continue
+            a = (model.x_min - model.mu) / model.sigma
+            b = (model.x_max - model.mu) / model.sigma
+            oracle = stats.truncnorm.ppf(qs, a, b, loc=model.mu, scale=model.sigma)
+            assert np.allclose(model.quantile(qs), oracle, rtol=0.0, atol=1e-12), repr(model)
+
+    def test_endpoints_exact(self):
+        for model in PARAMETRIC_MODELS + FAR_TAIL_MODELS:
             assert model.quantile(0.0) == model.x_min
             assert model.quantile(1.0) == model.x_max
 
     def test_levels_outside_unit_rejected(self):
         with pytest.raises(ValueError):
             BetaScaled(1.0, 1.0, -1.0, 2.0).quantile(1.5)
+        with pytest.raises(ValueError):
+            TruncNormal(0.0, 1.0, -1.0, 1.0).quantile(np.array([0.5, math.nan]))
+
+
+class TestFarTailTruncNormal:
+    def test_cdf_is_finite_and_matches_scipy(self):
+        for model in FAR_TAIL_MODELS:
+            xs = np.linspace(model.x_min, model.x_max, 101)
+            a = (model.x_min - model.mu) / model.sigma
+            b = (model.x_max - model.mu) / model.sigma
+            oracle = stats.truncnorm.cdf(xs, a, b, loc=model.mu, scale=model.sigma)
+            assert np.allclose(model.cdf(xs), oracle, rtol=0.0, atol=1e-12), repr(model)
+
+    def test_fixed_cohort_not_piled_on_the_right_edge(self):
+        model = TruncNormal(0.0, 0.05, 0.5, 1.0)
+        values = fixed_cohort(model, 5).values
+        assert values[0] == 0.5 and values[-1] == 1.0
+        # the mass sits within a few hundredths of x_min
+        assert np.all(values[1:-1] < 0.52)
+        assert np.all(np.diff(values) > 0)
+
+    def test_iid_cohort_matches_scipy_truncnorm(self):
+        model = TruncNormal(0.0, 0.05, 0.5, 1.0)
+        n = 10**4
+        sample = iid_cohort(model, n, make_rng(406)).values
+        a, b = 0.5 / 0.05, 1.0 / 0.05
+        ks = stats.kstest(sample, stats.truncnorm(a, b, loc=0.0, scale=0.05).cdf)
+        assert ks.pvalue > 0.01
+
+    def test_underflowing_support_rejected(self):
+        # 50 sigmas above the mean: the support's mass is below float64's range
+        with pytest.raises(ValueError, match="no probability mass"):
+            TruncNormal(0.0, 0.01, 0.5, 1.0)
+        with pytest.raises(ValueError, match="no probability mass"):
+            TruncNormal(0.0, 0.01, -1.0, -0.5)
+        with pytest.raises(ValueError):
+            TruncNormal(math.nan, 0.1, -1.0, 1.0)
 
 
 class TestFixedCohort:
@@ -150,9 +222,10 @@ class TestFatness:
         assert c == 0.5 and x_bar == 1.0
 
     def test_inequality_on_dense_grid(self):
-        for model in PARAMETRIC_MODELS:
+        for model in PARAMETRIC_MODELS + FAR_TAIL_MODELS:
             alpha = model.fat_alpha
             c, x_bar = fatness_constant(model)
+            assert math.isfinite(c) and c >= 0.0, repr(model)
             xs = np.linspace(model.x_min, x_bar, 1001)[1:-1]
             lower = c * (xs - model.x_min) ** alpha
             assert np.all(model.cdf(xs) >= lower - 1e-12), repr(model)

@@ -182,6 +182,29 @@ class TestPrivateMin:
         loop = [user_respond(float(x), 0.25, budget, loop_rng) for x in values]
         assert vec.tolist() == loop
 
+    @pytest.mark.parametrize("epsilon", [2.0, math.inf])
+    @pytest.mark.parametrize("setting", ["fixed", "iid"])
+    def test_round_sum_matches_answer_vector_replay(self, setting, epsilon):
+        # the counted round sum against the materialized answers, round by
+        # round, on the same stream; a sorted and an unsorted cohort
+        from ldpmin.datagen import BetaScaled, fixed_cohort, iid_cohort
+
+        model = BetaScaled(2.0, 1.0, -0.6, 1.2)
+        n, depth = 257, 9
+        if setting == "fixed":
+            cohort = fixed_cohort(model, n)
+        else:
+            cohort = iid_cohort(model, n, make_rng(30))
+            assert np.any(np.diff(cohort.values) < 0)
+        config = ProtocolConfig(epsilon, depth, 0.05, n)
+        rng = CountingRng(31)
+        t = run_private_min(cohort, config, rng)
+        assert rng.consumed == n * depth
+        replay = make_rng(31)
+        for r in t.rounds:
+            answers = respond_round(cohort.values, r.tau, config.round_budget, replay)
+            assert r.sum_z == int(answers.sum())
+
     def test_degenerate_gamma_forces_all_right(self):
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=5.0, n=1)
         assert config.gamma > max_phi(config)
