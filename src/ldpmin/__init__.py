@@ -51,7 +51,6 @@ from .params import (
     params_unknown_alpha,
 )
 from .protocol import (
-    Interval,
     ProtocolConfig,
     RoundRecord,
     Transcript,

@@ -176,11 +176,14 @@ def _errors_for_placement(spec: ExperimentSpec, mechanism: str, n: int,
 
 def run_experiment(spec: ExperimentSpec) -> list[CellResult]:
     """Full sweep; one row per (N, epsilon, mechanism), worst placement kept."""
+    # every schedule first, so one past the depth bound fails before any run
+    schedules = {(n, epsilon): choose_params(spec.param_mode, n, epsilon)
+                 for epsilon in spec.epsilon_grid for n in spec.n_grid}
     results = []
     for mechanism in spec.mechanisms:
         for epsilon in spec.epsilon_grid:
             for n in spec.n_grid:
-                params = choose_params(spec.param_mode, n, epsilon)
+                params = schedules[(n, epsilon)]
                 worst = None
                 for x_min in spec.xmin_grid:
                     errs = _errors_for_placement(spec, mechanism, n, epsilon, x_min, params)

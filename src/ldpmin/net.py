@@ -33,17 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import RoundBudget, unbiased_phi
-from .protocol import (
-    BRANCH_LEFT,
-    BRANCH_RIGHT,
-    Interval,
-    ProtocolConfig,
-    RoundRecord,
-    Transcript,
-    max_phi,
-    user_respond,
-)
+from .mechanisms import RoundBudget
+from .mechanisms import unbiased_phi  # noqa: F401 - bench/server.py traces it here
+from .protocol import ProtocolConfig, Transcript, bisect, user_respond
 
 _session_counter = itertools.count(1)
 
@@ -199,33 +191,14 @@ class MinServer:
             f"START {session_id} {config.depth} {format_real(budget.epsilon_round)}"
         )
 
-        interval = Interval(-1.0, 1.0)
-        rounds = []
-        for t in range(1, config.depth + 1):
-            tau = interval.midpoint
-            self._broadcast(f"QUERY {t} {format_real(tau)}")
-            sum_z = self._collect_round(t)
-            phi = unbiased_phi(sum_z, config.n, budget)
-            if phi >= config.gamma:
-                branch, interval = BRANCH_LEFT, interval.left_half()
-            else:
-                branch, interval = BRANCH_RIGHT, interval.right_half()
-            rounds.append(RoundRecord(t, tau, sum_z, phi, branch))
-
-        estimate = interval.midpoint
-        self._broadcast(f"RESULT {format_real(estimate)}")
+        transcript = bisect(config, self._query_round)
+        self._broadcast(f"RESULT {format_real(transcript.estimate)}")
         self._close()
-        return Transcript(config, tuple(rounds), estimate,
-                          degenerate_gamma=config.gamma > max_phi(config))
+        return transcript
 
-
-def serve(bind_address: tuple[str, int], config: ProtocolConfig,
-          expected_clients: int, round_timeout: float = 30.0) -> Transcript:
-    """Bind, run one full session and return its transcript."""
-    host, port = bind_address
-    server = MinServer(config, expected_clients, host=host, port=port,
-                       round_timeout=round_timeout)
-    return server.run()
+    def _query_round(self, round_no: int, tau: float) -> int:
+        self._broadcast(f"QUERY {round_no} {format_real(tau)}")
+        return self._collect_round(round_no)
 
 
 def run_client(connect_address: tuple[str, int], x: float, seed: int,
@@ -244,23 +217,28 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int,
     with socket.create_connection(connect_address, timeout=timeout) as conn:
         conn.settimeout(timeout)
         conn.sendall(f"HELLO {name}\n".encode("utf-8"))
-        fh = conn.makefile("r", encoding="utf-8", newline="\n")
-        budget = None
-        for line in fh:
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            kind = parts[0]
-            if kind == "START":
-                budget = RoundBudget(float(parts[3]))
-            elif kind == "QUERY":
-                if budget is None:
-                    raise SessionAborted("protocol-error")
-                round_no, tau = int(parts[1]), float(parts[2])
-                bit = user_respond(x, tau, budget, rng)
-                conn.sendall(f"RESP {round_no} {bit}\n".encode("utf-8"))
-            elif kind == "RESULT":
-                return float(parts[1])
-            elif kind == "ABORT":
-                raise SessionAborted(parts[1] if len(parts) > 1 else "unknown")
-        raise ConnectionError("server closed the connection before RESULT")
+        with conn.makefile("r", encoding="utf-8", newline="\n") as fh:
+            budget = None
+            for line in fh:
+                kind, *fields = line.split() or [""]
+                if kind == "ABORT":
+                    raise SessionAborted(fields[0] if fields else "unknown")
+                try:
+                    # a wrong field count fails the unpacking with ValueError
+                    if kind == "START":
+                        _session_id, _depth, epsilon_round = fields
+                        budget = RoundBudget(float(epsilon_round))
+                    elif kind == "QUERY":
+                        if budget is None:
+                            raise SessionAborted("protocol-error")
+                        round_no, tau = fields
+                        round_no, tau = int(round_no), float(tau)
+                        bit = user_respond(x, tau, budget, rng)
+                        conn.sendall(f"RESP {round_no} {bit}\n".encode("utf-8"))
+                    elif kind == "RESULT":
+                        (estimate,) = fields
+                        return float(estimate)
+                except ValueError:
+                    # malformed fields, a bad budget or a tau outside [-1, 1]
+                    raise SessionAborted("protocol-error") from None
+            raise ConnectionError("server closed the connection before RESULT")

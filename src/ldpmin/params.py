@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .protocol import MAX_DEPTH
+
 MODE_LOWER_ALPHA = "lower_alpha"
 MODE_UNKNOWN_ALPHA = "unknown_alpha"
 
@@ -43,8 +45,9 @@ class ParamChoice:
     gamma: float
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"{self.mode}: depth must lie in [1, {MAX_DEPTH}] "
+                             f"(float64 midpoint resolution), got {self.depth}")
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
 

@@ -1,19 +1,17 @@
 """Interactive bisection for minimum finding, with and without sanitization.
 
-Both variants maintain a shrinking interval [lo, hi] starting from the data
-domain [-1, 1].  Each round queries every user about the midpoint tau: the
-raw answer is sign(tau - x_i) with sign(0) = +1, so +1 means "my value is
-at most tau".  The non-private search keeps the left half whenever any user
-answered +1 (empirical CDF at tau strictly positive); the private search
-sanitizes every answer through randomized response at budget eps/L, debiases
-the mean, and keeps the left half when the estimate reaches a threshold
-gamma.  After L rounds the midpoint of the final interval is returned, so
-the discretization error alone is at most 2^-L.
+Every search is one walk, :func:`bisect`.  It keeps an interval [lo, hi],
+starting from the data domain [-1, 1], and in each of L rounds asks every
+user about the midpoint tau: the raw answer is sign(tau - x_i) with
+sign(0) = +1, so +1 means "my value is at most tau".  The answers are
+sanitized by randomized response at budget eps/L, their sum is debiased
+into an estimate phi of the fraction at or below tau, and the walk keeps
+the left half when phi >= gamma.  After L rounds the midpoint of the final
+interval is returned, so the discretization error alone is at most 2^-L.
 
-Threshold comparisons are deliberately asymmetric: strictly greater than
-zero in the noise-free search, greater-or-equal to gamma in the sanitized
-one.  The difference only matters on degenerate inputs but both are kept
-exactly as specified.
+The noise-free search is the same walk at eps = inf and gamma = 1/(2N):
+phi is then the plain fraction count/N, which reaches 1/(2N) exactly when
+at least one user sits at or below tau.
 
 A simulated run consumes a single random stream in user-index order within
 each round (exactly N uniforms per round), which makes transcripts
@@ -38,38 +36,20 @@ from .mechanisms import (
     randomized_response,
     rr_keep_probability,
     rr_respond_many,
+    unbiased_phi,
 )
 
 BRANCH_LEFT = "left"
 BRANCH_RIGHT = "right"
 
+# Round t's midpoint is an odd multiple of 2^(1-t); float64 holds every such
+# value in [-1, 1] exactly while t <= 54, past that the interval collapses.
+MAX_DEPTH = 54
+
 
 def sign(v: float) -> int:
     """+1 for v >= 0, -1 otherwise (zero counts as positive)."""
     return 1 if v >= 0 else -1
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Current search interval; always a dyadic piece of [-1, 1]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (-1.0 <= self.lo < self.hi <= 1.0):
-            raise ValueError(f"need -1 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
-
-    @property
-    def midpoint(self) -> float:
-        # lo + (hi - lo)/2 keeps the midpoint an exact dyadic rational
-        return self.lo + (self.hi - self.lo) / 2.0
-
-    def left_half(self) -> "Interval":
-        return Interval(self.lo, self.midpoint)
-
-    def right_half(self) -> "Interval":
-        return Interval(self.midpoint, self.hi)
 
 
 @dataclass(frozen=True)
@@ -84,8 +64,11 @@ class ProtocolConfig:
     def __post_init__(self):
         if math.isnan(self.epsilon) or self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(
+                f"depth must lie in [1, {MAX_DEPTH}] (float64 midpoint resolution), "
+                f"got {self.depth}"
+            )
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.n < 1:
@@ -141,34 +124,49 @@ def respond_round(values: np.ndarray, tau: float, budget: RoundBudget, rng) -> n
     return rr_respond_many(raw, budget, rng)
 
 
-def run_nonprivate_min(cohort: Cohort, depth: int) -> Transcript:
-    """Noise-free bisection; deterministic, error at most 2^-depth.
-
-    Branches left exactly when the empirical CDF at the midpoint is
-    strictly positive, i.e. when at least one user sits at or below tau.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    values = cohort.values
-    n = cohort.n
-    interval = Interval(-1.0, 1.0)
-    rounds = []
-    for t in range(1, depth + 1):
-        tau = interval.midpoint
-        count = int(np.count_nonzero(values <= tau))
-        phi = count / n
-        if phi > 0.0:
-            branch, interval = BRANCH_LEFT, interval.left_half()
-        else:
-            branch, interval = BRANCH_RIGHT, interval.right_half()
-        rounds.append(RoundRecord(t, tau, 2 * count - n, phi, branch))
-    config = ProtocolConfig(epsilon=math.inf, depth=depth, gamma=0.0, n=n)
-    return Transcript(config, tuple(rounds), interval.midpoint)
-
-
 def max_phi(config: ProtocolConfig) -> float:
     """Largest value the debiased estimate can attain (all answers +1)."""
     return 0.5 * phi_correction(config.round_budget) + 0.5
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    # lo + (hi - lo)/2 keeps the midpoint an exact dyadic rational
+    return lo + (hi - lo) / 2.0
+
+
+def bisect(config: ProtocolConfig, round_sum) -> Transcript:
+    """The interval walk behind every search.
+
+    Round t queries the midpoint tau and takes ``round_sum(t, tau)``, the sum
+    of the N answers in {-1, +1}; it keeps the left half when the debiased
+    estimate reaches ``config.gamma``.  Returns the midpoint of the final
+    interval with one record per round.
+    """
+    budget = config.round_budget
+    lo, hi = -1.0, 1.0
+    rounds = []
+    for t in range(1, config.depth + 1):
+        tau = _midpoint(lo, hi)
+        sum_z = round_sum(t, tau)
+        phi = unbiased_phi(sum_z, config.n, budget)
+        if phi >= config.gamma:
+            branch, hi = BRANCH_LEFT, tau
+        else:
+            branch, lo = BRANCH_RIGHT, tau
+        rounds.append(RoundRecord(t, tau, sum_z, phi, branch))
+    return Transcript(config, tuple(rounds), _midpoint(lo, hi),
+                      degenerate_gamma=config.gamma > max_phi(config))
+
+
+def run_nonprivate_min(cohort: Cohort, depth: int) -> Transcript:
+    """Noise-free bisection; deterministic, error at most 2^-depth.
+
+    The walk at eps = inf and gamma = 1/(2N): the estimate count/N reaches
+    gamma exactly when at least one user sits at or below tau.
+    """
+    values, n = cohort.values, cohort.n
+    config = ProtocolConfig(epsilon=math.inf, depth=depth, gamma=1.0 / (2 * n), n=n)
+    return bisect(config, lambda t, tau: 2 * int(np.count_nonzero(values <= tau)) - n)
 
 
 def run_private_min(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rngs=None) -> Transcript:
@@ -188,28 +186,18 @@ def run_private_min(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rn
     values = cohort.values
     n = config.n
     budget = config.round_budget
-    correction = phi_correction(budget)
-    p_keep = rr_keep_probability(budget)
-    degenerate = config.gamma > 0.5 * correction + 0.5
+    if user_rngs is not None:
+        def round_sum(t, tau):
+            return sum(user_respond(x, tau, budget, g) for x, g in zip(values, user_rngs))
+    else:
+        p_keep = rr_keep_probability(budget)
 
-    interval = Interval(-1.0, 1.0)
-    rounds = []
-    for t in range(1, config.depth + 1):
-        tau = interval.midpoint
-        if user_rngs is not None:
-            sum_z = sum(user_respond(x, tau, budget, g) for x, g in zip(values, user_rngs))
-        else:
+        def round_sum(t, tau):
             # an answer is +1 iff the raw bit and the keep draw agree: the sum of
             # respond_round(values, tau, budget, rng) from the same N uniforms
             kept = rng.random(n) < p_keep
-            sum_z = 2 * int(np.count_nonzero((values <= tau) == kept)) - n
-        phi = correction * sum_z / (2.0 * n) + 0.5
-        if phi >= config.gamma:
-            branch, interval = BRANCH_LEFT, interval.left_half()
-        else:
-            branch, interval = BRANCH_RIGHT, interval.right_half()
-        rounds.append(RoundRecord(t, tau, sum_z, phi, branch))
-    return Transcript(config, tuple(rounds), interval.midpoint, degenerate_gamma=degenerate)
+            return 2 * int(np.count_nonzero((values <= tau) == kept)) - n
+    return bisect(config, round_sum)
 
 
 def run_private_max(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rngs=None) -> Transcript:

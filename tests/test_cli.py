@@ -72,6 +72,13 @@ class TestSimulate:
             assert code == 2, model_args
             assert err.startswith("error:")
 
+    def test_depth_past_float_resolution_rejected(self, capsys):
+        code, out, err = run_main(capsys, [
+            "simulate", "--data", "-1", "--epsilon", "1", "--depth", "55", "--gamma", "0.1",
+        ])
+        assert code == 3
+        assert out == "" and "54" in err
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "transcript.jsonl"
         code, out, _ = run_main(capsys, [
@@ -211,6 +218,14 @@ class TestServeAndClient:
         assert holder[1] == holder[2] == 0.375
         final = json.loads(out_path.read_text().strip().splitlines()[-1])
         assert final["estimate"] == 0.375
+
+    def test_serve_depth_past_float_resolution_rejected_before_binding(self, capsys):
+        code, out, err = run_main(capsys, [
+            "serve", "--bind", "127.0.0.1:0", "--clients", "1",
+            "--epsilon", "1", "--depth", "60", "--gamma", "0.1",
+        ])
+        assert code == 3
+        assert "LISTENING" not in out and "54" in err
 
     def test_server_timeout_exits_nonzero(self, capsys):
         code, _, err = run_main(capsys, [

@@ -128,6 +128,20 @@ class TestRunExperiment:
         cells = run_experiment(small_spec(setting="iid", n_grid=(64,), reps=4))
         assert len(cells) == 1 and cells[0].mean_abs_err >= 0.0
 
+    def test_depth_bound_fails_before_any_run(self, monkeypatch):
+        # known_alpha:0.1 needs depth 55 at N = 2048; the N = 1024 cell
+        # must not run first and spend its work
+        import ldpmin.harness as harness
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a repetition ran")
+
+        monkeypatch.setattr(harness, "fixed_cohort", no_run)
+        monkeypatch.setattr(harness, "run_private_min", no_run)
+        spec = small_spec(param_mode="known_alpha:0.1", n_grid=(1024, 2048))
+        with pytest.raises(ValueError, match="54"):
+            run_experiment(spec)
+
     def test_infeasible_xmin_grid_reported(self):
         with pytest.raises(ValueError, match="infeasible"):
             small_spec(xmin_grid=(0.9,))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ldpmin.datagen import Cohort
-from ldpmin.net import MinServer, SessionAborted, run_client, serve
+from ldpmin.net import MinServer, SessionAborted, run_client
 from ldpmin.protocol import ProtocolConfig, run_private_min
 
 from conftest import make_rng
@@ -177,25 +177,27 @@ class TestFailurePaths:
         thread.join()
         assert out["reason"] == "malformed-message"
 
+    @pytest.mark.parametrize("lines", [
+        ["START s1 3"],
+        ["START s1 3 0.5", "QUERY 1"],
+        ["START s1 3 0.5", "RESULT"],
+    ], ids=["short-start", "short-query", "bare-result"])
+    def test_malformed_server_line_is_protocol_error(self, lines):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def fake_server():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.makefile("r", encoding="utf-8").readline()  # HELLO
+                    conn.sendall("".join(line + "\n" for line in lines).encode("utf-8"))
+
+            thread = threading.Thread(target=fake_server)
+            thread.start()
+            with pytest.raises(SessionAborted) as info:
+                run_client(listener.getsockname(), 0.5, 1, timeout=5.0)
+            thread.join()
+        assert info.value.reason == "protocol-error"
+
     def test_expected_clients_must_match_config(self):
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.1, n=3)
         with pytest.raises(ValueError):
             MinServer(config, 2)
-
-
-class TestServeFunction:
-    def test_serve_wraps_the_server_class(self):
-        config = ProtocolConfig(epsilon=math.inf, depth=2, gamma=1.0, n=1)
-        holder = {}
-
-        def serving():
-            holder["t"] = serve(("127.0.0.1", 0), config, 1, round_timeout=5.0)
-
-        # need the bound port; rebuild via MinServer for the deterministic path
-        server = MinServer(config, 1, round_timeout=5.0)
-        thread = threading.Thread(target=lambda: holder.update(t=server.run()))
-        thread.start()
-        estimate = run_client(server.address, -1.0, 3)
-        thread.join()
-        assert estimate == holder["t"].estimate
-        assert -1.0 <= estimate <= -1.0 + 2.0**-1

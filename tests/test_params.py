@@ -85,6 +85,11 @@ class TestKnownAlphaSchedule:
         with pytest.raises(ValueError):
             params_known_alpha(1, 1.0, 1.0)
 
+    def test_depth_past_float_resolution_rejected(self):
+        assert choose_params("known_alpha:0.1", 1024, 1.0).depth == 50
+        with pytest.raises(ValueError, match="54"):
+            choose_params("known_alpha:0.1", 2048, 1.0)  # would be depth 55
+
 
 class TestUnknownAlphaSchedule:
     def test_presets_coincide_at_base(self):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from ldpmin.mechanisms import RoundBudget
 from ldpmin.protocol import (
     BRANCH_LEFT,
     BRANCH_RIGHT,
-    Interval,
+    MAX_DEPTH,
     ProtocolConfig,
     baseline_min,
+    bisect,
     max_phi,
     respond_round,
     run_nonprivate_min,
@@ -59,27 +61,48 @@ class TestSignAndUserResponse:
             user_respond(0.0, -2.0, RoundBudget(1.0), ConstantRng(0.0))
 
 
-class TestInterval:
-    def test_halving(self):
-        box = Interval(-1.0, 1.0)
-        assert box.midpoint == 0.0
-        assert box.left_half() == Interval(-1.0, 0.0)
-        assert box.right_half() == Interval(0.0, 1.0)
+def forced_walk(depth, pattern):
+    """bisect at eps = inf with every round's answers forced by pattern(t)."""
+    config = ProtocolConfig(math.inf, depth, 0.5, 1)
+    return bisect(config, lambda t, tau: 1 if pattern(t) == BRANCH_LEFT else -1)
 
-    def test_rejects_bad_endpoints(self):
-        with pytest.raises(ValueError):
-            Interval(0.5, 0.5)
-        with pytest.raises(ValueError):
-            Interval(-2.0, 0.0)
+
+class TestBisect:
+    def test_halving(self):
+        left = forced_walk(2, lambda t: BRANCH_LEFT)
+        right = forced_walk(2, lambda t: BRANCH_RIGHT)
+        assert [r.tau for r in left.rounds] == [0.0, -0.5]
+        assert [r.tau for r in right.rounds] == [0.0, 0.5]
+        assert (left.estimate, right.estimate) == (-0.75, 0.75)
 
     def test_midpoints_stay_dyadic(self):
         # round t's interval has width 2^(2-t), so shifted midpoints are
-        # odd multiples of 2^(1-t); exact for all depths a double can hold
-        box = Interval(-1.0, 1.0)
-        for t in range(1, 41):
-            scaled = (box.midpoint + 1.0) * 2.0 ** (t - 1)
-            assert scaled == int(scaled) and int(scaled) % 2 == 1
-            box = box.right_half() if t % 3 else box.left_half()
+        # odd multiples of 2^(1-t), exactly, up to the depth bound; the
+        # all-left and all-right walks reach the domain's ends
+        for pattern in (lambda t: BRANCH_LEFT, lambda t: BRANCH_RIGHT,
+                        lambda t: BRANCH_RIGHT if t % 3 else BRANCH_LEFT):
+            walk = forced_walk(MAX_DEPTH, pattern)
+            assert [r.branch for r in walk.rounds] == [pattern(r.round) for r in walk.rounds]
+            for r in walk.rounds:
+                scaled = (Fraction(r.tau) + 1) * 2 ** (r.round - 1)
+                assert scaled.denominator == 1 and scaled.numerator % 2 == 1
+
+    def test_depth_bound(self):
+        # 54 rounds complete the walks that reach the domain's ends; a 55th
+        # would need a midpoint finer than float64 holds next to -1 or 1
+        assert MAX_DEPTH == 54
+        low = run_nonprivate_min(fixed_cohort_of([-1.0]), MAX_DEPTH)
+        assert all(r.branch == BRANCH_LEFT for r in low.rounds)
+        assert -1.0 <= low.estimate <= -1.0 + 2.0**-MAX_DEPTH
+        config = ProtocolConfig(math.inf, MAX_DEPTH, 9.0, 1)
+        high = run_private_min(fixed_cohort_of([-1.0]), config, make_rng(0))
+        assert high.degenerate_gamma
+        assert all(r.branch == BRANCH_RIGHT for r in high.rounds)
+        assert 1.0 - 2.0**-MAX_DEPTH <= high.estimate <= 1.0
+        with pytest.raises(ValueError, match="54"):
+            ProtocolConfig(1.0, MAX_DEPTH + 1, 0.1, 1)
+        with pytest.raises(ValueError, match="54"):
+            run_nonprivate_min(fixed_cohort_of([-1.0]), MAX_DEPTH + 1)
 
 
 class TestNonPrivate:
@@ -162,7 +185,10 @@ class TestPrivateMin:
         config = ProtocolConfig(math.inf, depth, 1.0 / (2 * cohort.n), cohort.n)
         private = run_private_min(cohort, config, make_rng(0))
         plain = run_nonprivate_min(cohort, depth)
-        assert [r.branch for r in private.rounds] == [r.branch for r in plain.rounds]
+        strict = [BRANCH_LEFT if np.any(cohort.values <= r.tau) else BRANCH_RIGHT
+                  for r in plain.rounds]
+        assert [r.branch for r in plain.rounds] == strict
+        assert [r.branch for r in private.rounds] == strict
         assert private.estimate == plain.estimate
 
     @settings(max_examples=30, deadline=None)
