@@ -20,7 +20,6 @@ from .analysis import (
 from .datagen import (
     BetaScaled,
     Cohort,
-    EmpiricalCDF,
     TruncNormal,
     fatness_constant,
     fixed_cohort,

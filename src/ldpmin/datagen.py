@@ -1,10 +1,10 @@
 """Synthetic data models with controllable left-tail fatness, plus cohorts.
 
 A model here is any object with ``cdf``, ``quantile``, ``x_min``, ``x_max``
-and ``fat_alpha``.  The parametric ones are a rescaled beta distribution
+and ``fat_alpha``.  The two models are a rescaled beta distribution
 (whose first shape parameter is exactly the fatness exponent of the left
 tail) and a truncated normal (always exponent 1, like any truncated
-density).  ``EmpiricalCDF`` wraps observed values.
+density).
 
 Cohorts come in two flavours:
 
@@ -12,7 +12,7 @@ Cohorts come in two flavours:
   empirical CDF of the cohort interpolates F exactly;
 * iid: users hold independent draws from F.
 
-Quantiles of the parametric models are closed forms (the inverse incomplete
+Quantiles of both models are closed forms (the inverse incomplete
 beta function; the normal quantile on the side of the mean where the
 support's tail keeps its relative precision), clamped to the support; sampling
 is inverse CDF from one uniform per value so that seeded runs are replayable.
@@ -144,50 +144,6 @@ class TruncNormal:
         return _clamped_quantile(self, q)
 
 
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    """Step CDF of observed values: F(x) = (1/N) #{x_i <= x}.
-
-    ``quantile(q)`` returns inf{t : F(t) >= q}, which for q in (0, 1] is the
-    ceil(qN)-th order statistic.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float))
-        if v.size == 0:
-            raise ValueError("need at least one value")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def x_min(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def x_max(self) -> float:
-        return float(self.values[-1])
-
-    @property
-    def fat_alpha(self):
-        return None
-
-    def cdf(self, x):
-        out = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.n
-        return float(out) if np.isscalar(x) else out
-
-    def quantile(self, q):
-        qs = np.atleast_1d(np.asarray(q, dtype=float))
-        _check_levels(qs)
-        idx = np.maximum(np.ceil(qs * self.n).astype(int), 1) - 1
-        out = self.values[idx]
-        return float(out[0]) if np.isscalar(q) else out
-
-
 def _check_domain(x) -> None:
     xs = np.asarray(x, dtype=float)
     if np.any(xs < -1.0) or np.any(xs > 1.0):
@@ -249,7 +205,7 @@ def fatness_constant(model) -> tuple[float, float]:
     min{1, 1/(alpha B(alpha, beta))} / delta^alpha with x_bar the right
     support edge.  For the truncated normal the exponent is 1 and C is the
     smallest density value on the support (attained at a boundary).
-    Empirical models carry no closed form and are rejected.
+    Any other model carries no closed form and is rejected.
     """
     if isinstance(model, BetaScaled):
         c0 = min(1.0, 1.0 / (model.alpha * special.beta(model.alpha, model.beta)))
@@ -265,11 +221,6 @@ def fatness_constant(model) -> tuple[float, float]:
 def rescale_to_unit(x: float, lo: float, hi: float) -> float:
     """Affine map [lo, hi] -> [-1, 1]."""
     return 2.0 * (x - lo) / (hi - lo) - 1.0
-
-
-def rescale_from_unit(y: float, lo: float, hi: float) -> float:
-    """Inverse of :func:`rescale_to_unit`."""
-    return lo + (y + 1.0) * (hi - lo) / 2.0
 
 
 def ingest_csv_cohort(path, lo: float, hi: float) -> Cohort:

@@ -1,34 +1,39 @@
 """Reference aggregator server and user client speaking a line protocol.
 
 Each round is a full barrier: the server sends the current midpoint to all
-clients, waits for every sanitized bit, then halves the interval.  All
+clients, reads one sanitized bit from each, then halves the interval.  All
 sanitization happens client-side; the only value derived from a user's
 datum that ever crosses the wire is the randomized-response bit, which the
 tests assert by inspecting the raw inbound byte log.
 
 Wire format: UTF-8 lines terminated by a newline, space-separated fields,
-first token the message name.  Reals use the shortest round-trip decimal,
-so dyadic midpoints survive the trip bit-exactly.
+first token the message name; an inbound line holds at most ``MAX_LINE``
+bytes.  Reals use the shortest round-trip decimal, so dyadic midpoints
+survive the trip bit-exactly.
 
     client -> server:  HELLO <client_id>
                        RESP <round> <bit>          bit in {-1, 1}
     server -> client:  START <session_id> <depth> <epsilon_round>
-                       QUERY <round> <tau>
+                       QUERY <round> <tau>         the midpoint, all a client needs
                        RESULT <estimate>
                        ABORT <reason>
 
-A client that answers twice in one round, sends garbage, or goes silent
-aborts the whole session; the estimator assumes a fixed cohort size across
-rounds, so the server never re-normalizes mid-protocol.  Clients only ever
-need the current midpoint, hence QUERY carries nothing else.
+The server reads each barrier (the HELLOs, then each round's RESPs) as one
+line per client, in client order, before one deadline for the barrier.  An
+extra line is seen only at that client's next read: a second answer to
+round t aborts round t+1 as a duplicate, one after the final RESP goes
+unread, and a RESP sent ahead of QUERY t+1 counts for round t+1.  Garbage,
+a re-answer or silence aborts the session; the estimator assumes a fixed
+cohort size, so the server never re-normalizes mid-protocol.  A client
+answers QUERY rounds 1..depth of the one START it accepted, each once and
+in order, and accepts only a finite RESULT in [-1, 1].
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import socket
-import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,8 @@ import numpy as np
 from .mechanisms import RoundBudget
 from .mechanisms import unbiased_phi  # noqa: F401 - bench/server.py traces it here
 from .protocol import ProtocolConfig, Transcript, bisect, user_respond
+
+MAX_LINE = 256  # bytes in one inbound line, newline excluded
 
 _session_counter = itertools.count(1)
 
@@ -55,8 +62,8 @@ def format_real(x: float) -> str:
 @dataclass
 class _Client:
     index: int
-    client_id: str
     conn: socket.socket
+    pending: bytes = b""  # received bytes not yet consumed as lines
 
     def send_line(self, line: str) -> None:
         try:
@@ -71,7 +78,7 @@ class MinServer:
     Binds immediately (``address`` is available right after construction);
     :meth:`run` accepts ``expected_clients`` connections, executes the
     rounds and returns the transcript.  ``wire_log`` keeps every raw
-    inbound line as (client_index, line) pairs for auditing.
+    inbound line as (client_index, line) pairs for auditing, in read order.
     """
 
     def __init__(self, config: ProtocolConfig, expected_clients: int,
@@ -85,23 +92,12 @@ class MinServer:
         self.expected_clients = expected_clients
         self.round_timeout = round_timeout
         self.wire_log: list[tuple[int, str]] = []
-        self._inbox: queue.Queue = queue.Queue()
         self._clients: list[_Client] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen(expected_clients)
         self.address = self._sock.getsockname()
-
-    def _reader(self, client: _Client) -> None:
-        fh = client.conn.makefile("r", encoding="utf-8", newline="\n")
-        try:
-            for line in fh:
-                self._inbox.put((client.index, line.rstrip("\n")))
-        except OSError:
-            pass
-        finally:
-            self._inbox.put((client.index, None))  # EOF marker
 
     def _broadcast(self, line: str) -> None:
         for client in self._clients:
@@ -130,75 +126,76 @@ class MinServer:
         try:
             for index in range(self.expected_clients):
                 conn, _ = self._sock.accept()
-                client = _Client(index, client_id=f"client-{index}", conn=conn)
-                self._clients.append(client)
-                threading.Thread(target=self._reader, args=(client,), daemon=True).start()
+                self._clients.append(_Client(index, conn))
         except socket.timeout:
             raise self._abort("timeout") from None
 
-    def _expect_hellos(self) -> None:
-        greeted = set()
-        while len(greeted) < self.expected_clients:
+    def _read_line(self, client: _Client, deadline: float) -> list[str]:
+        """Next line from ``client`` by ``deadline``, logged and split into fields."""
+        while b"\n" not in client.pending[:MAX_LINE + 1]:
+            if len(client.pending) > MAX_LINE:
+                raise self._abort_client(client, "malformed-message")
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
+                raise self._abort("timeout")
             try:
-                index, line = self._inbox.get(timeout=self.round_timeout)
-            except queue.Empty:
+                client.conn.settimeout(remaining)  # so trickled bytes cannot stretch it
+                chunk = client.conn.recv(4096)
+            except socket.timeout:
                 raise self._abort("timeout") from None
-            if line is None:
+            except OSError:
+                chunk = b""
+            if not chunk:
                 raise self._abort("client-disconnected")
-            self.wire_log.append((index, line))
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "HELLO" or index in greeted:
-                raise self._abort_client(self._clients[index], "protocol-error")
-            self._clients[index].client_id = parts[1]
-            greeted.add(index)
+            client.pending += chunk
+        raw, _, client.pending = client.pending.partition(b"\n")
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise self._abort_client(client, "malformed-message") from None
+        self.wire_log.append((client.index, line))
+        return line.split()
 
-    def _collect_round(self, round_no: int) -> int:
-        """Barrier: gather one RESP per client, return the bit sum."""
-        responded: dict[int, int] = {}
-        while len(responded) < self.expected_clients:
-            try:
-                index, line = self._inbox.get(timeout=self.round_timeout)
-            except queue.Empty:
-                raise self._abort("timeout") from None
-            if line is None:
-                raise self._abort("client-disconnected")
-            self.wire_log.append((index, line))
-            client = self._clients[index]
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "RESP":
+    def _barrier(self):
+        """One line from each client, in client order, under one deadline."""
+        deadline = time.monotonic() + self.round_timeout
+        for client in self._clients:
+            yield client, self._read_line(client, deadline)
+
+    def _expect_hellos(self) -> None:
+        for client, parts in self._barrier():
+            if len(parts) != 2 or parts[0] != "HELLO":
+                raise self._abort_client(client, "protocol-error")
+
+    def _query_round(self, round_no: int, tau: float) -> int:
+        """Broadcast QUERY, read one RESP per client, return the bit sum."""
+        self._broadcast(f"QUERY {round_no} {format_real(tau)}")
+        total = 0
+        for client, parts in self._barrier():
+            if len(parts) != 3 or parts[0] != "RESP" or parts[2] not in ("-1", "1"):
                 raise self._abort_client(client, "malformed-message")
             try:
-                resp_round, bit = int(parts[1]), int(parts[2])
+                resp_round = int(parts[1])
             except ValueError:
                 raise self._abort_client(client, "malformed-message") from None
-            if bit not in (-1, 1):
-                raise self._abort_client(client, "malformed-message")
-            if resp_round < round_no or index in responded:
+            if resp_round < round_no:
                 # an answer for a round that already closed is a re-answer
                 raise self._abort_client(client, "duplicate-response")
             if resp_round > round_no:
                 raise self._abort_client(client, "protocol-error")
-            responded[index] = bit
-        return sum(responded.values())
+            total += int(parts[2])
+        return total
 
     def run(self) -> Transcript:
-        config = self.config
         session_id = f"s{next(_session_counter):04d}"
         self._accept_clients()
         self._expect_hellos()
-        budget = config.round_budget
-        self._broadcast(
-            f"START {session_id} {config.depth} {format_real(budget.epsilon_round)}"
-        )
-
-        transcript = bisect(config, self._query_round)
+        epsilon_round = format_real(self.config.round_budget.epsilon_round)
+        self._broadcast(f"START {session_id} {self.config.depth} {epsilon_round}")
+        transcript = bisect(self.config, self._query_round)
         self._broadcast(f"RESULT {format_real(transcript.estimate)}")
         self._close()
         return transcript
-
-    def _query_round(self, round_no: int, tau: float) -> int:
-        self._broadcast(f"QUERY {round_no} {format_real(tau)}")
-        return self._collect_round(round_no)
 
 
 def run_client(connect_address: tuple[str, int], x: float, seed: int,
@@ -214,31 +211,34 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     name = client_id if client_id is not None else f"u{seed}"
 
-    with socket.create_connection(connect_address, timeout=timeout) as conn:
-        conn.settimeout(timeout)
+    with socket.create_connection(connect_address, timeout=timeout) as conn, \
+            conn.makefile("rb") as fh:
         conn.sendall(f"HELLO {name}\n".encode("utf-8"))
-        with conn.makefile("r", encoding="utf-8", newline="\n") as fh:
-            budget = None
-            for line in fh:
-                kind, *fields = line.split() or [""]
+        budget, depth, answered = None, 0, 0
+        for raw in fh:
+            try:
+                kind, *fields = raw.decode("utf-8").split() or [""]
                 if kind == "ABORT":
                     raise SessionAborted(fields[0] if fields else "unknown")
-                try:
-                    # a wrong field count fails the unpacking with ValueError
-                    if kind == "START":
-                        _session_id, _depth, epsilon_round = fields
-                        budget = RoundBudget(float(epsilon_round))
-                    elif kind == "QUERY":
-                        if budget is None:
-                            raise SessionAborted("protocol-error")
-                        round_no, tau = fields
-                        round_no, tau = int(round_no), float(tau)
-                        bit = user_respond(x, tau, budget, rng)
-                        conn.sendall(f"RESP {round_no} {bit}\n".encode("utf-8"))
-                    elif kind == "RESULT":
-                        (estimate,) = fields
-                        return float(estimate)
-                except ValueError:
-                    # malformed fields, a bad budget or a tau outside [-1, 1]
-                    raise SessionAborted("protocol-error") from None
-            raise ConnectionError("server closed the connection before RESULT")
+                if kind == "START":
+                    if budget is not None:
+                        raise ValueError("a second START")
+                    _session_id, depth, epsilon_round = fields
+                    depth, budget = int(depth), RoundBudget(float(epsilon_round))
+                elif kind == "QUERY":
+                    round_no, tau = fields
+                    if budget is None or answered == depth or int(round_no) != answered + 1:
+                        raise ValueError("a query outside rounds 1..depth in order")
+                    bit = user_respond(x, float(tau), budget, rng)
+                    answered += 1
+                    conn.sendall(f"RESP {answered} {bit}\n".encode("utf-8"))
+                elif kind == "RESULT":
+                    (estimate,) = fields
+                    if not -1.0 <= float(estimate) <= 1.0:  # NaN fails too
+                        raise ValueError("an estimate outside [-1, 1]")
+                    return float(estimate)
+            except ValueError:
+                # undecodable bytes, a wrong field count, an unparsable number,
+                # a bad budget or tau, or a line out of the session's order
+                raise SessionAborted("protocol-error") from None
+        raise ConnectionError("server closed the connection before RESULT")
