@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--epsilon", required=True)
     srv.add_argument("--depth", type=int, required=True)
     srv.add_argument("--gamma", type=float, required=True)
-    srv.add_argument("--timeout", type=float, default=30.0, help="per-round barrier timeout (s)")
+    srv.add_argument("--timeout", type=float, default=30.0,
+                     help="deadline (s) for the connect phase and for each barrier")
     srv.add_argument("--out", default=None, help="write the transcript here")
     srv.set_defaults(func=cmd_serve)
 
@@ -291,10 +292,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except harness.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (net.SessionAborted, ConnectionError, OSError, RuntimeError, ValueError) as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -152,11 +152,10 @@ def _check_domain(x) -> None:
 
 @dataclass(frozen=True)
 class Cohort:
-    """N user values in [-1, 1] plus how they were generated."""
+    """N user values in [-1, 1] and the setting they were drawn in."""
 
     values: np.ndarray
     setting: str  # "fixed" or "iid"
-    source: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -176,7 +175,7 @@ class Cohort:
         return float(self.values.min())
 
     def negated(self) -> "Cohort":
-        return Cohort(-self.values, self.setting, self.source)
+        return Cohort(-self.values, self.setting)
 
 
 def fixed_cohort(model, n: int) -> Cohort:
@@ -188,14 +187,14 @@ def fixed_cohort(model, n: int) -> Cohort:
     if n < 2:
         raise ValueError(f"fixed cohorts need n >= 2, got {n}")
     levels = np.arange(n, dtype=float) / (n - 1)
-    return Cohort(model.quantile(levels), "fixed", source=repr(model))
+    return Cohort(model.quantile(levels), "fixed")
 
 
 def iid_cohort(model, n: int, rng) -> Cohort:
     """n independent inverse-CDF draws, one uniform variate per value."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Cohort(model.quantile(rng.random(n)), "iid", source=repr(model))
+    return Cohort(model.quantile(rng.random(n)), "iid")
 
 
 def fatness_constant(model) -> tuple[float, float]:
@@ -216,39 +215,3 @@ def fatness_constant(model) -> tuple[float, float]:
         dens = math.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * model.sigma * model._mass)
         return dens, model.x_max
     raise TypeError(f"no closed-form fatness constant for {type(model).__name__}")
-
-
-def rescale_to_unit(x: float, lo: float, hi: float) -> float:
-    """Affine map [lo, hi] -> [-1, 1]."""
-    return 2.0 * (x - lo) / (hi - lo) - 1.0
-
-
-def ingest_csv_cohort(path, lo: float, hi: float) -> Cohort:
-    """Load a one-value-per-line file and rescale [lo, hi] to [-1, 1].
-
-    A non-numeric first line is treated as a header and skipped.  Parse
-    failures and out-of-range values are reported with their line number.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
-    raw: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"{path}: line {lineno}: not a number: {text!r}") from None
-            if not lo <= value <= hi:
-                raise ValueError(
-                    f"{path}: line {lineno}: value {value!r} outside [{lo}, {hi}]"
-                )
-            raw.append(value)
-    if not raw:
-        raise ValueError(f"{path}: no numeric rows found")
-    values = np.array([rescale_to_unit(v, lo, hi) for v in raw])
-    return Cohort(values, "fixed", source=f"csv:{path}")

@@ -59,7 +59,7 @@ class ModelTemplate:
     def place(self, x_min: float):
         if x_min + self.delta > 1.0 + 1e-12 or x_min < -1.0:
             raise ValueError(
-                f"placement x_min={x_min} with delta={self.delta} leaves [-1, 1]"
+                f"infeasible placement x_min={x_min} with delta={self.delta} leaves [-1, 1]"
             )
         x_max = min(x_min + self.delta, 1.0)
         if self.kind == "truncnorm":
@@ -107,11 +107,8 @@ class ExperimentSpec:
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}")
-        bad = [x for x in self.xmin_grid if x + self.model.delta > 1.0 + 1e-12 or x < -1.0]
-        if bad:
-            raise ValueError(
-                f"infeasible x_min placements for delta={self.model.delta}: {bad}"
-            )
+        for x_min in self.xmin_grid:
+            self.model.place(x_min)
 
 
 @dataclass(frozen=True)
@@ -258,7 +255,7 @@ class ConfigError(ValueError):
 
 _MODEL_KEYS = {"model", "alpha", "beta", "delta", "mu", "sigma"}
 _SPEC_KEYS = {"setting", "n_grid", "epsilon_grid", "param_mode", "reps",
-              "xmin_grid", "seed", "mechanisms", "mechanism"}
+              "xmin_grid", "seed", "mechanisms"}
 
 
 def parse_experiment_config(path) -> ExperimentSpec:
@@ -320,7 +317,7 @@ def parse_experiment_config(path) -> ExperimentSpec:
         mu=number("mu", 0.0, float),
         sigma=number("sigma", 1.0, float),
     )
-    mech_raw = take("mechanisms", take("mechanism", MECH_BINARY_SEARCH))
+    mech_raw = take("mechanisms", MECH_BINARY_SEARCH)
     mechanisms = tuple(s.strip() for s in mech_raw.split(",") if s.strip())
 
     xmin_raw = take("xmin_grid", "auto")

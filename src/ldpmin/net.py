@@ -7,9 +7,9 @@ datum that ever crosses the wire is the randomized-response bit, which the
 tests assert by inspecting the raw inbound byte log.
 
 Wire format: UTF-8 lines terminated by a newline, space-separated fields,
-first token the message name; an inbound line holds at most ``MAX_LINE``
-bytes.  Reals use the shortest round-trip decimal, so dyadic midpoints
-survive the trip bit-exactly.
+first token the message name; a line holds at most ``MAX_LINE`` bytes and
+either end aborts on a longer one.  Reals use the shortest round-trip
+decimal, so dyadic midpoints survive the trip bit-exactly.
 
     client -> server:  HELLO <client_id>
                        RESP <round> <bit>          bit in {-1, 1}
@@ -18,15 +18,16 @@ survive the trip bit-exactly.
                        RESULT <estimate>
                        ABORT <reason>
 
-The server reads each barrier (the HELLOs, then each round's RESPs) as one
-line per client, in client order, before one deadline for the barrier.  An
-extra line is seen only at that client's next read: a second answer to
-round t aborts round t+1 as a duplicate, one after the final RESP goes
-unread, and a RESP sent ahead of QUERY t+1 counts for round t+1.  Garbage,
-a re-answer or silence aborts the session; the estimator assumes a fixed
-cohort size, so the server never re-normalizes mid-protocol.  A client
-answers QUERY rounds 1..depth of the one START it accepted, each once and
-in order, and accepts only a finite RESULT in [-1, 1].
+The server accepts all clients before one deadline, then reads each
+barrier (the HELLOs, then each round's RESPs) as one line per client, in
+client order, before one deadline for the barrier.  An extra line is seen
+only at that client's next read: a second answer to round t aborts round
+t+1 as a duplicate, one after the final RESP goes unread, and a RESP sent
+ahead of QUERY t+1 counts for round t+1.  Garbage, a re-answer or silence
+aborts the session with one ABORT to each client; the estimator assumes a
+fixed cohort size, so the server never re-normalizes mid-protocol.  A
+client answers QUERY rounds 1..depth of the one START it accepted, each
+once and in order, and accepts only a finite RESULT in [-1, 1].
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .mechanisms import RoundBudget
 from .mechanisms import unbiased_phi  # noqa: F401 - bench/server.py traces it here
 from .protocol import ProtocolConfig, Transcript, bisect, user_respond
 
-MAX_LINE = 256  # bytes in one inbound line, newline excluded
+MAX_LINE = 256  # bytes in one line, newline excluded, that either end reads
 
 _session_counter = itertools.count(1)
 
@@ -108,11 +109,6 @@ class MinServer:
         self._close()
         return SessionAborted(reason)
 
-    def _abort_client(self, client: _Client, reason: str) -> SessionAborted:
-        client.send_line(f"ABORT {reason}")
-        # a dropped client leaves the cohort short, which ends the session
-        return self._abort(reason)
-
     def _close(self) -> None:
         for client in self._clients:
             try:
@@ -122,19 +118,21 @@ class MinServer:
         self._sock.close()
 
     def _accept_clients(self) -> None:
-        self._sock.settimeout(self.round_timeout)
+        deadline = time.monotonic() + self.round_timeout  # one deadline, as for a barrier
         try:
             for index in range(self.expected_clients):
+                # at the deadline a timeout of 0 only takes a connection already queued
+                self._sock.settimeout(max(deadline - time.monotonic(), 0.0))
                 conn, _ = self._sock.accept()
                 self._clients.append(_Client(index, conn))
-        except socket.timeout:
+        except (socket.timeout, BlockingIOError):
             raise self._abort("timeout") from None
 
     def _read_line(self, client: _Client, deadline: float) -> list[str]:
         """Next line from ``client`` by ``deadline``, logged and split into fields."""
         while b"\n" not in client.pending[:MAX_LINE + 1]:
             if len(client.pending) > MAX_LINE:
-                raise self._abort_client(client, "malformed-message")
+                raise self._abort("malformed-message")
             remaining = deadline - time.monotonic()
             if remaining <= 0.0:
                 raise self._abort("timeout")
@@ -152,7 +150,7 @@ class MinServer:
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise self._abort_client(client, "malformed-message") from None
+            raise self._abort("malformed-message") from None
         self.wire_log.append((client.index, line))
         return line.split()
 
@@ -160,29 +158,29 @@ class MinServer:
         """One line from each client, in client order, under one deadline."""
         deadline = time.monotonic() + self.round_timeout
         for client in self._clients:
-            yield client, self._read_line(client, deadline)
+            yield self._read_line(client, deadline)
 
     def _expect_hellos(self) -> None:
-        for client, parts in self._barrier():
+        for parts in self._barrier():
             if len(parts) != 2 or parts[0] != "HELLO":
-                raise self._abort_client(client, "protocol-error")
+                raise self._abort("protocol-error")
 
     def _query_round(self, round_no: int, tau: float) -> int:
         """Broadcast QUERY, read one RESP per client, return the bit sum."""
         self._broadcast(f"QUERY {round_no} {format_real(tau)}")
         total = 0
-        for client, parts in self._barrier():
+        for parts in self._barrier():
             if len(parts) != 3 or parts[0] != "RESP" or parts[2] not in ("-1", "1"):
-                raise self._abort_client(client, "malformed-message")
+                raise self._abort("malformed-message")
             try:
                 resp_round = int(parts[1])
             except ValueError:
-                raise self._abort_client(client, "malformed-message") from None
+                raise self._abort("malformed-message") from None
             if resp_round < round_no:
                 # an answer for a round that already closed is a re-answer
-                raise self._abort_client(client, "duplicate-response")
+                raise self._abort("duplicate-response")
             if resp_round > round_no:
-                raise self._abort_client(client, "protocol-error")
+                raise self._abort("protocol-error")
             total += int(parts[2])
         return total
 
@@ -199,7 +197,7 @@ class MinServer:
 
 
 def run_client(connect_address: tuple[str, int], x: float, seed: int,
-               client_id: str | None = None, timeout: float = 30.0) -> float:
+               timeout: float = 30.0) -> float:
     """Participate as one user holding ``x``; returns the final estimate.
 
     The datum never leaves the process: every answer is sanitized locally
@@ -209,14 +207,15 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int,
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"value must lie in [-1, 1], got {x!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    name = client_id if client_id is not None else f"u{seed}"
 
     with socket.create_connection(connect_address, timeout=timeout) as conn, \
             conn.makefile("rb") as fh:
-        conn.sendall(f"HELLO {name}\n".encode("utf-8"))
+        conn.sendall(f"HELLO u{seed}\n".encode("utf-8"))
         budget, depth, answered = None, 0, 0
-        for raw in fh:
+        while raw := fh.readline(MAX_LINE + 1):
             try:
+                if len(raw) > MAX_LINE and not raw.endswith(b"\n"):
+                    raise ValueError("a line over MAX_LINE bytes")
                 kind, *fields = raw.decode("utf-8").split() or [""]
                 if kind == "ABORT":
                     raise SessionAborted(fields[0] if fields else "unknown")
@@ -238,7 +237,7 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int,
                         raise ValueError("an estimate outside [-1, 1]")
                     return float(estimate)
             except ValueError:
-                # undecodable bytes, a wrong field count, an unparsable number,
-                # a bad budget or tau, or a line out of the session's order
+                # an overlong line, undecodable bytes, a wrong field count, an
+                # unparsable number, a bad budget or tau, or a line out of order
                 raise SessionAborted("protocol-error") from None
         raise ConnectionError("server closed the connection before RESULT")

@@ -12,7 +12,6 @@ from ldpmin.datagen import (
     fatness_constant,
     fixed_cohort,
     iid_cohort,
-    ingest_csv_cohort,
 )
 
 from conftest import make_rng
@@ -258,29 +257,3 @@ class TestCohort:
         cohort = Cohort(np.array([-0.25, 1.0]), "iid")
         assert cohort.negated().negated().values.tolist() == cohort.values.tolist()
 
-
-class TestCsvIngestion:
-    def test_affine_map_and_header(self, tmp_path):
-        path = tmp_path / "ages.csv"
-        path.write_text("age\n0\n75\n150\n", encoding="utf-8")
-        cohort = ingest_csv_cohort(path, 0.0, 150.0)
-        assert cohort.values.tolist() == [-1.0, 0.0, 1.0]
-        assert cohort.setting == "fixed"
-
-    def test_parse_error_carries_line_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0\n2.0\noops\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 3"):
-            ingest_csv_cohort(path, 0.0, 10.0)
-
-    def test_out_of_range_carries_line_number(self, tmp_path):
-        path = tmp_path / "range.csv"
-        path.write_text("5\n500\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2"):
-            ingest_csv_cohort(path, 0.0, 150.0)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("header_only\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="no numeric rows"):
-            ingest_csv_cohort(path, 0.0, 1.0)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import socket
 import threading
@@ -243,9 +244,10 @@ class TestFailurePaths:
         ([b"START s1 1 0.5", b"QUERY 1 0.5", b"RESULT 7.5"], 1),
         ([b"START s1 1 0.5", b"QUERY 1 0.5", b"RESULT -inf"], 1),
         ([b"START s1 1 0.5", b"\xff\xfe QUERY 1 0.5"], 0),
+        ([b"START s1 1 1.0", b"Q" * 4096], 0),
     ], ids=["short-start", "short-query", "bare-result", "past-depth", "replay", "skip",
             "query-before-start", "second-start", "nan-result", "result-outside",
-            "infinite-result", "undecodable"])
+            "infinite-result", "undecodable", "overlong"])
     def test_malformed_server_line_is_protocol_error(self, lines, resps):
         # the client answers only rounds 1..depth of the one START it accepted
         outcome, received = fake_session(lines)
@@ -283,7 +285,7 @@ class TestBarrier:
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.4, n=1)
         reason, (seen,) = serve_raw(config, [b"HELLO long\n" + line])
         assert reason == "malformed-message"
-        assert seen.splitlines()[2] == b"ABORT malformed-message"
+        assert seen.splitlines()[2:] == [b"ABORT malformed-message"]  # one ABORT, not two
 
     def test_invalid_utf8_hello_is_malformed_without_a_thread(self, monkeypatch):
         def no_thread(_self):
@@ -293,7 +295,7 @@ class TestBarrier:
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.4, n=2)
         reason, seen = serve_raw(config, [b"HELLO ok\n", b"HELLO \xff\xfe\n"])
         assert reason == "malformed-message"
-        assert [s.splitlines()[0] for s in seen] == [b"ABORT malformed-message"] * 2
+        assert [s.splitlines() for s in seen] == [[b"ABORT malformed-message"]] * 2
 
     def test_one_deadline_for_the_whole_barrier(self):
         # answers 0.7 s apart never leave a 1 s gap, but the barrier's 1 s is up
@@ -322,6 +324,29 @@ class TestBarrier:
             assert out.get("reason") == "timeout"
             assert out["finished"] - start < 1.2
             assert [fh.readline() for fh in readers] == [b"ABORT timeout\n"] * 3
+        finally:
+            for conn in conns:
+                conn.close()
+
+    def test_one_deadline_for_the_connect_phase(self):
+        # connections 0.7 s apart never leave a 1 s gap, but the phase's 1 s is up
+        config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.4, n=3)
+        server = MinServer(config, 3, round_timeout=1.0)
+        start = time.monotonic()
+        thread, out = serve_in_thread(server)
+        conns = []
+        try:
+            for i in range(3):
+                time.sleep(0.7)
+                if thread.is_alive():
+                    with contextlib.suppress(ConnectionRefusedError):  # closed since the check
+                        conns.append(socket.create_connection(server.address, timeout=5.0))
+                        conns[-1].sendall(f"HELLO c{i}\n".encode("utf-8"))
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert out.get("reason") == "timeout"
+            assert out["finished"] - start < 1.2
+            assert conns[0].makefile("rb").readline() == b"ABORT timeout\n"
         finally:
             for conn in conns:
                 conn.close()
