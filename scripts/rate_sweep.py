@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run an error-vs-N sweep from a config file and fit its decay exponent.
 
-Writes results.csv plus guideline CSVs to --out-dir and prints the fitted
-(A, B, C, alpha_hat).  Equivalent to `ldpmin experiment` followed by
+Writes the same out-dir as `ldpmin experiment` (results.csv, guideline
+CSVs, run_meta.json) and prints each row plus the fitted (A, B, C,
+alpha_hat) per epsilon.  Equivalent to `ldpmin experiment` followed by
 `ldpmin fit`, kept as a script for interactive tinkering.
 """
 
@@ -14,13 +15,8 @@ import sys
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ldpmin.analysis import fit_rate
-from ldpmin.cli import write_guideline_csv, write_result_csv
-from ldpmin.harness import (
-    MECH_BINARY_SEARCH,
-    guideline_curve,
-    parse_experiment_config,
-    run_experiment,
-)
+from ldpmin.cli import write_experiment
+from ldpmin.harness import MECH_BINARY_SEARCH, parse_experiment_config, run_experiment
 
 
 def main():
@@ -33,26 +29,19 @@ def main():
 
     spec = parse_experiment_config(args.config)
     cells = run_experiment(spec)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_result_csv(cells, out / "results.csv")
+    write_experiment(spec, cells, args.out_dir, args.config)
 
     for c in cells:
         print(f"N={c.n:7d} eps={c.epsilon:g} {c.mechanism:13s} "
               f"err={c.mean_abs_err:.5f} [{c.q05:.5f}, {c.q95:.5f}] "
               f"worst_xmin={c.x_min:+.3f}")
 
-    binary = sorted((c for c in cells if c.mechanism == MECH_BINARY_SEARCH),
-                    key=lambda c: (c.epsilon, c.n))
     for epsilon in spec.epsilon_grid:
-        curve = [c for c in binary if c.epsilon == epsilon]
+        curve = [(c.n, c.mean_abs_err) for c in cells
+                 if c.mechanism == MECH_BINARY_SEARCH and c.epsilon == epsilon]
         if len(curve) < 3:
             continue
-        points = guideline_curve(spec.param_mode, spec.model.fat_alpha,
-                                 [c.n for c in curve], epsilon,
-                                 anchor=curve[-1].mean_abs_err)
-        write_guideline_csv(points, out / f"guideline_eps{epsilon:g}.csv")
-        fit = fit_rate([(c.n, c.mean_abs_err) for c in curve])
+        fit = fit_rate(curve)
         print(f"eps={epsilon:g}: A={fit.A:.4f} B={fit.B:.4f} C={fit.C:.4f} "
               f"alpha_hat={fit.alpha_hat if fit.alpha_hat is None else round(fit.alpha_hat, 4)} "
               f"residual={fit.residual:.3e}")

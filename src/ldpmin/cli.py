@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -27,8 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-RESULT_COLUMNS = ("n", "epsilon", "mechanism", "param_mode", "x_min",
-                  "mean_abs_err", "q05", "q95", "reps", "seed")
+RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(harness.CellResult))
 
 
 class UsageError(ValueError):
@@ -89,6 +89,10 @@ def _parse_epsilon(text: str) -> float:
 
 
 def _simulate_cohort(args, rng) -> Cohort:
+    model_fields = {f.name for f in dataclasses.fields(harness.ModelTemplate)}
+    model_args = {k: v for k, v in vars(args).items() if k in model_fields}
+    if "kind" in model_args:  # an unknown --model is refused even beside --data
+        harness.ModelTemplate(kind=model_args["kind"])
     if args.data is not None:
         try:
             values = [float(s) for s in args.data.split(",") if s.strip()]
@@ -101,8 +105,7 @@ def _simulate_cohort(args, rng) -> Cohort:
         return Cohort(np.array(values), args.setting)
     if args.n is None:
         raise UsageError("either --n (with --model) or --data is required")
-    model = harness.ModelTemplate(args.model, args.model_alpha, args.model_beta, args.delta,
-                                  args.mu, args.sigma).place(args.x_min)
+    model = harness.ModelTemplate(**model_args).place(args.x_min)
     if args.setting == "fixed":
         return fixed_cohort(model, args.n)
     return iid_cohort(model, args.n, rng)
@@ -139,33 +142,37 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args) -> int:
-    spec = harness.parse_experiment_config(args.config)
-    cells = harness.run_experiment(spec)
-    out_dir = Path(args.out_dir)
+def write_experiment(spec, cells, out_dir, config_path) -> None:
+    """Write a sweep's results.csv, guideline_eps<eps>.csv files and run_meta.json."""
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_result_csv(cells, out_dir / "results.csv")
 
     # guidelines anchor on the bisection mechanism's worst-case curve
+    fat_alpha = spec.model.place(spec.xmin_grid[0]).fat_alpha
     binary = [c for c in cells if c.mechanism == harness.MECH_BINARY_SEARCH]
     for epsilon in spec.epsilon_grid:
         curve_cells = sorted((c for c in binary if c.epsilon == epsilon), key=lambda c: c.n)
         if not curve_cells:
             continue
-        anchor = curve_cells[-1].mean_abs_err
-        points = harness.guideline_curve(spec.param_mode, spec.model.fat_alpha,
+        points = harness.guideline_curve(spec.param_mode, fat_alpha,
                                          [c.n for c in curve_cells], epsilon,
-                                         anchor=anchor)
+                                         anchor=curve_cells[-1].mean_abs_err)
         write_guideline_csv(points, out_dir / f"guideline_eps{epsilon:g}.csv")
 
     meta = {
-        "config": str(args.config),
+        "config": str(config_path),
         "quantiles": "q05/q95 taken at the worst x_min placement, not pooled",
         "worst_rule": "per cell, max over xmin_grid of the per-placement mean error",
         "seed": spec.seed,
     }
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n",
                                            encoding="utf-8")
+
+
+def cmd_experiment(args) -> int:
+    spec = harness.parse_experiment_config(args.config)
+    write_experiment(spec, harness.run_experiment(spec), args.out_dir, args.config)
     return EXIT_OK
 
 
@@ -240,13 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--gamma", type=float, default=None, help="explicit decision threshold")
     sim.add_argument("--param-mode", default=None,
                      help="schedule: lower_alpha | known_alpha:<a0> | unknown_alpha[:base]")
-    sim.add_argument("--model", default="uniform", choices=["uniform", "beta", "truncnorm"])
-    sim.add_argument("--model-alpha", type=float, default=1.0)
-    sim.add_argument("--model-beta", type=float, default=1.0)
+    # model flags left out take ModelTemplate's defaults
+    model_flag = dict(default=argparse.SUPPRESS)
+    sim.add_argument("--model", dest="kind", help=" | ".join(harness.MODEL_KINDS), **model_flag)
+    sim.add_argument("--model-alpha", dest="alpha", type=float, **model_flag)
+    sim.add_argument("--model-beta", dest="beta", type=float, **model_flag)
     sim.add_argument("--x-min", type=float, default=-1.0)
-    sim.add_argument("--delta", type=float, default=2.0)
-    sim.add_argument("--mu", type=float, default=0.0)
-    sim.add_argument("--sigma", type=float, default=1.0)
+    sim.add_argument("--delta", type=float, **model_flag)
+    sim.add_argument("--mu", type=float, **model_flag)
+    sim.add_argument("--sigma", type=float, **model_flag)
     sim.add_argument("--setting", default="fixed", choices=["fixed", "iid"])
     sim.add_argument("--data", default=None,
                      help="comma-separated explicit user values (overrides --model)")

@@ -13,12 +13,15 @@ for one repetition is keyed on (seed, mechanism, N, epsilon, x_min, rep)
 values, never on loop indices, so cells are independent of iteration order
 and can run in parallel.  In the i.i.d. setting a repetition's stream is
 consumed cohort-first, then protocol.
+
+``ModelTemplate`` and ``ExperimentSpec`` hold every default of a sweep;
+``parse_experiment_config`` maps each config key to one of their fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,6 +35,7 @@ MECH_LAPLACE = "laplace"
 MECH_NONPRIVATE = "nonprivate"
 MECHANISMS = (MECH_BINARY_SEARCH, MECH_LAPLACE, MECH_NONPRIVATE)
 _MECH_CODE = {name: i for i, name in enumerate(MECHANISMS)}
+MODEL_KINDS = ("uniform", "beta", "truncnorm")
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class ModelTemplate:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "beta", "truncnorm"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not 0.0 < self.delta <= 2.0:
             raise ValueError(f"delta must lie in (0, 2], got {self.delta}")
@@ -68,12 +72,6 @@ class ModelTemplate:
         b = 1.0 if self.kind == "uniform" else self.beta
         return BetaScaled(a, b, x_min, x_max - x_min)
 
-    @property
-    def fat_alpha(self) -> float:
-        if self.kind == "truncnorm":
-            return 1.0
-        return 1.0 if self.kind == "uniform" else self.alpha
-
     def default_xmin_grid(self) -> tuple[float, ...]:
         """Six evenly spaced admissible placements, k/5 * (2 - delta) - 1.
 
@@ -85,23 +83,28 @@ class ModelTemplate:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one sweep, including the master seed."""
+    """Everything needed to reproduce one sweep, including the master seed.
+
+    An empty ``xmin_grid`` stands for the model's stock placement grid.
+    """
 
     model: ModelTemplate
-    setting: str  # "fixed" or "iid"
     n_grid: tuple[int, ...]
     epsilon_grid: tuple[float, ...]
-    param_mode: str
-    reps: int
-    xmin_grid: tuple[float, ...]
-    seed: int
+    setting: str = "fixed"  # or "iid"
+    param_mode: str = "lower_alpha"
+    reps: int = 200
+    xmin_grid: tuple[float, ...] = ()
+    seed: int = 0
     mechanisms: tuple[str, ...] = (MECH_BINARY_SEARCH,)
 
     def __post_init__(self):
+        if not self.xmin_grid:
+            object.__setattr__(self, "xmin_grid", self.model.default_xmin_grid())
         if self.setting not in ("fixed", "iid"):
             raise ValueError(f"setting must be 'fixed' or 'iid', got {self.setting!r}")
-        if not self.n_grid or not self.epsilon_grid or not self.xmin_grid:
-            raise ValueError("n_grid, epsilon_grid and xmin_grid must be nonempty")
+        if not self.n_grid or not self.epsilon_grid:
+            raise ValueError("n_grid and epsilon_grid must be nonempty")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         for mech in self.mechanisms:
@@ -253,94 +256,67 @@ class ConfigError(ValueError):
     """Malformed experiment config file (message carries the line number)."""
 
 
-_MODEL_KEYS = {"model", "alpha", "beta", "delta", "mu", "sigma"}
-_SPEC_KEYS = {"setting", "n_grid", "epsilon_grid", "param_mode", "reps",
-              "xmin_grid", "seed", "mechanisms"}
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+def _list(conv):
+    """Parser for a nonempty comma-separated list of ``conv`` values."""
+    def parse(raw: str) -> tuple:
+        items = tuple(conv(s) for s in _names(raw))
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return parse
+
+
+# config key -> (ModelTemplate or ExperimentSpec field, value parser);
+# xmin_grid "auto" is the empty grid, which ExperimentSpec fills in
+_CONFIG_KEYS = {
+    "model": ("kind", str), "alpha": ("alpha", float), "beta": ("beta", float),
+    "delta": ("delta", float), "mu": ("mu", float), "sigma": ("sigma", float),
+    "setting": ("setting", str), "param_mode": ("param_mode", str),
+    "reps": ("reps", int), "seed": ("seed", int), "mechanisms": ("mechanisms", _names),
+    "n_grid": ("n_grid", _list(lambda s: int(s, 0))),
+    "epsilon_grid": ("epsilon_grid", _list(float)),
+    "xmin_grid": ("xmin_grid", lambda raw: () if raw == "auto" else _list(float)(raw)),
+}
 
 
 def parse_experiment_config(path) -> ExperimentSpec:
     """Read a flat key = value file (lists comma-separated, # comments).
 
-    Keys mirror the ExperimentSpec and ModelTemplate field names;
-    ``xmin_grid = auto`` selects the stock six-placement grid for the
-    model's width.
+    Keys name ModelTemplate and ExperimentSpec fields (``model`` sets
+    ``kind``); a key left out takes the field's default.  ``xmin_grid =
+    auto`` selects the stock six-placement grid for the model's width.
     """
-    entries: dict[str, tuple[int, str]] = {}
+    values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            key, sep, value = text.partition("=")
+            key, sep, raw = text.partition("=")
             if not sep:
                 raise ConfigError(f"{path}: line {lineno}: expected key = value")
-            key = key.strip().lower()
-            if key not in _MODEL_KEYS | _SPEC_KEYS:
+            key, raw = key.strip().lower(), raw.strip()
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            if key in entries:
+            field, parse = _CONFIG_KEYS[key]
+            if field in values:
                 raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-            entries[key] = (lineno, value.strip())
+            try:
+                values[field] = parse(raw)
+            except ValueError:
+                raise ConfigError(f"{path}: line {lineno}: bad value for {key}: {raw!r}") from None
 
-    def take(key, default=None):
-        if key in entries:
-            return entries[key][1]
-        return default
-
-    def number(key, default, conv):
-        raw = take(key)
-        if raw is None:
-            return default
-        lineno = entries[key][0]
-        try:
-            return conv(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: line {lineno}: bad value for {key}: {raw!r}") from None
-
-    def number_list(key, conv):
-        raw = take(key)
-        if raw is None:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        lineno = entries[key][0]
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        if not items:
-            raise ConfigError(f"{path}: line {lineno}: {key} must be a nonempty list")
-        try:
-            return tuple(conv(s) for s in items)
-        except ValueError:
-            raise ConfigError(f"{path}: line {lineno}: bad list for {key}: {raw!r}") from None
-
-    model = ModelTemplate(
-        kind=take("model", "uniform"),
-        alpha=number("alpha", 1.0, float),
-        beta=number("beta", 1.0, float),
-        delta=number("delta", 2.0, float),
-        mu=number("mu", 0.0, float),
-        sigma=number("sigma", 1.0, float),
-    )
-    mech_raw = take("mechanisms", MECH_BINARY_SEARCH)
-    mechanisms = tuple(s.strip() for s in mech_raw.split(",") if s.strip())
-
-    xmin_raw = take("xmin_grid", "auto")
-    if xmin_raw == "auto":
-        xmin_grid = model.default_xmin_grid()
-    else:
-        lineno = entries["xmin_grid"][0]
-        try:
-            xmin_grid = tuple(float(s) for s in xmin_raw.split(",") if s.strip())
-        except ValueError:
-            raise ConfigError(f"{path}: line {lineno}: bad list for xmin_grid") from None
-
+    model_fields = {f.name for f in fields(ModelTemplate)}
+    spec_args = {k: v for k, v in values.items() if k not in model_fields}
+    for f in fields(ExperimentSpec):
+        if f.default is MISSING and f.name not in spec_args and f.name != "model":
+            raise ConfigError(f"{path}: missing required key {f.name!r}")
     try:
-        return ExperimentSpec(
-            model=model,
-            setting=take("setting", "fixed"),
-            n_grid=number_list("n_grid", lambda s: int(s, 0)),
-            epsilon_grid=number_list("epsilon_grid", float),
-            param_mode=take("param_mode", "lower_alpha"),
-            reps=number("reps", 200, int),
-            xmin_grid=xmin_grid,
-            seed=number("seed", 0, int),
-            mechanisms=mechanisms,
-        )
+        model = ModelTemplate(**{k: v for k, v in values.items() if k in model_fields})
+        return ExperimentSpec(model, **spec_args)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None

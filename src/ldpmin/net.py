@@ -27,7 +27,8 @@ ahead of QUERY t+1 counts for round t+1.  Garbage, a re-answer or silence
 aborts the session with one ABORT to each client; the estimator assumes a
 fixed cohort size, so the server never re-normalizes mid-protocol.  A
 client answers QUERY rounds 1..depth of the one START it accepted, each
-once and in order, and accepts only a finite RESULT in [-1, 1].
+once and in order, accepts only a finite RESULT in [-1, 1], and ends any
+other line (an unknown name, an empty line) as ``protocol-error``.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int,
             try:
                 if len(raw) > MAX_LINE and not raw.endswith(b"\n"):
                     raise ValueError("a line over MAX_LINE bytes")
-                kind, *fields = raw.decode("utf-8").split() or [""]
+                kind, *fields = raw.decode("utf-8").split()
                 if kind == "ABORT":
                     raise SessionAborted(fields[0] if fields else "unknown")
                 if kind == "START":
@@ -236,8 +237,11 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int,
                     if not -1.0 <= float(estimate) <= 1.0:  # NaN fails too
                         raise ValueError("an estimate outside [-1, 1]")
                     return float(estimate)
+                else:
+                    raise ValueError("an unknown message")
             except ValueError:
-                # an overlong line, undecodable bytes, a wrong field count, an
-                # unparsable number, a bad budget or tau, or a line out of order
+                # an overlong, empty or unknown line, undecodable bytes, a wrong
+                # field count, an unparsable number, a bad budget or tau, or a
+                # line out of order
                 raise SessionAborted("protocol-error") from None
         raise ConnectionError("server closed the connection before RESULT")

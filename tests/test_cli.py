@@ -62,7 +62,8 @@ class TestSimulate:
             "--epsilon", "1", "--depth", "2", "--gamma", "0.1",
         ])
         assert code == 2
-        for model_args in (["--model", "uniform", "--x-min", "0.5", "--delta", "1"],
+        for model_args in (["--model", "gauss"],
+                           ["--model", "uniform", "--x-min", "0.5", "--delta", "1"],
                            ["--model", "truncnorm", "--sigma", "0.01", "--x-min", "0.5",
                             "--delta", "0.5"]):
             code, _, err = run_main(capsys, [
@@ -71,6 +72,11 @@ class TestSimulate:
             ])
             assert code == 2, model_args
             assert err.startswith("error:")
+        code, _, err = run_main(capsys, [
+            "simulate", "--data", "0.5", "--model", "gauss",
+            "--epsilon", "1", "--depth", "2", "--gamma", "0.1",
+        ])
+        assert code == 2 and err.startswith("error:")
 
     def test_depth_past_float_resolution_rejected(self, capsys):
         code, out, err = run_main(capsys, [

@@ -237,6 +237,14 @@ mechanisms = binary_search, laplace
         spec = parse_experiment_config(write_cfg(tmp_path, cfg))
         assert spec.xmin_grid == (-1.0, -0.5)
 
+    def test_empty_xmin_grid_is_not_auto(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 3"):
+            parse_experiment_config(write_cfg(tmp_path, "n_grid = 64\nepsilon_grid = 1\nxmin_grid =\n"))
+
+    def test_defaults_come_from_the_dataclasses(self, tmp_path):
+        spec = parse_experiment_config(write_cfg(tmp_path, "n_grid = 64, 128\nepsilon_grid = 4\n"))
+        assert spec == ExperimentSpec(ModelTemplate(), n_grid=(64, 128), epsilon_grid=(4.0,))
+
     def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_experiment_config(write_cfg(tmp_path, "seed = 1\nseed = 2\nn_grid = 4\n"))

@@ -245,9 +245,11 @@ class TestFailurePaths:
         ([b"START s1 1 0.5", b"QUERY 1 0.5", b"RESULT -inf"], 1),
         ([b"START s1 1 0.5", b"\xff\xfe QUERY 1 0.5"], 0),
         ([b"START s1 1 1.0", b"Q" * 4096], 0),
+        ([b"START s1 1 0.5", b"NOOP"], 0),
+        ([b"START s1 1 0.5", b""], 0),
     ], ids=["short-start", "short-query", "bare-result", "past-depth", "replay", "skip",
             "query-before-start", "second-start", "nan-result", "result-outside",
-            "infinite-result", "undecodable", "overlong"])
+            "infinite-result", "undecodable", "overlong", "unknown-token", "empty-line"])
     def test_malformed_server_line_is_protocol_error(self, lines, resps):
         # the client answers only rounds 1..depth of the one START it accepted
         outcome, received = fake_session(lines)
