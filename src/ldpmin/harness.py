@@ -103,8 +103,10 @@ class ExperimentSpec:
             object.__setattr__(self, "xmin_grid", self.model.default_xmin_grid())
         if self.setting not in ("fixed", "iid"):
             raise ValueError(f"setting must be 'fixed' or 'iid', got {self.setting!r}")
-        if not self.n_grid or not self.epsilon_grid:
-            raise ValueError("n_grid and epsilon_grid must be nonempty")
+        for name in ("n_grid", "epsilon_grid", "mechanisms"):
+            grid = getattr(self, name)
+            if not grid or len(set(grid)) != len(grid):
+                raise ValueError(f"{name} must be nonempty without repeats, got {grid!r}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         for mech in self.mechanisms:
@@ -256,14 +258,10 @@ class ConfigError(ValueError):
     """Malformed experiment config file (message carries the line number)."""
 
 
-def _names(raw: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in raw.split(",") if s.strip())
-
-
 def _list(conv):
     """Parser for a nonempty comma-separated list of ``conv`` values."""
     def parse(raw: str) -> tuple:
-        items = tuple(conv(s) for s in _names(raw))
+        items = tuple(conv(s.strip()) for s in raw.split(",") if s.strip())
         if not items:
             raise ValueError("empty list")
         return items
@@ -276,7 +274,7 @@ _CONFIG_KEYS = {
     "model": ("kind", str), "alpha": ("alpha", float), "beta": ("beta", float),
     "delta": ("delta", float), "mu": ("mu", float), "sigma": ("sigma", float),
     "setting": ("setting", str), "param_mode": ("param_mode", str),
-    "reps": ("reps", int), "seed": ("seed", int), "mechanisms": ("mechanisms", _names),
+    "reps": ("reps", int), "seed": ("seed", int), "mechanisms": ("mechanisms", _list(str)),
     "n_grid": ("n_grid", _list(lambda s: int(s, 0))),
     "epsilon_grid": ("epsilon_grid", _list(float)),
     "xmin_grid": ("xmin_grid", lambda raw: () if raw == "auto" else _list(float)(raw)),

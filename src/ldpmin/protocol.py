@@ -13,11 +13,11 @@ The noise-free search is the same walk at eps = inf and gamma = 1/(2N):
 phi is then the plain fraction count/N, which reaches 1/(2N) exactly when
 at least one user sits at or below tau.
 
-A simulated run consumes a single random stream in user-index order within
-each round (exactly N uniforms per round), which makes transcripts
-replayable from (cohort, config, seed).  A deployment where each user owns
-an independent stream is simulated by passing ``user_rngs``; the estimator
-distribution is identical either way.
+A simulated run draws each round's answer sum from its exact law, two
+binomial draws from one stream (users at or below tau first), which makes
+transcripts replayable from (cohort, config, seed).  A deployment where each
+user owns an independent stream (one uniform per sanitized bit) is simulated
+by passing ``user_rngs``; the estimator distribution is identical either way.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ def run_nonprivate_min(cohort: Cohort, depth: int) -> Transcript:
 def run_private_min(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rngs=None) -> Transcript:
     """Sanitized bisection under an even eps/L split across rounds.
 
-    Pass either ``rng`` (one shared stream, consumed in user-index order
-    within each round, exactly N draws per round) or ``user_rngs`` (one
-    independent stream per user, as a networked deployment would have).
+    Pass either ``rng`` (one shared stream, two binomial draws per round,
+    the users at or below tau first) or ``user_rngs`` (one independent
+    stream per user, as a networked deployment would have).
     """
     if cohort.n != config.n:
         raise ValueError(f"cohort size {cohort.n} != configured n {config.n}")
@@ -193,10 +193,10 @@ def run_private_min(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rn
         p_keep = rr_keep_probability(budget)
 
         def round_sum(t, tau):
-            # an answer is +1 iff the raw bit and the keep draw agree: the sum of
-            # respond_round(values, tau, budget, rng) from the same N uniforms
-            kept = rng.random(n) < p_keep
-            return 2 * int(np.count_nonzero((values <= tau) == kept)) - n
+            # respond_round's sum in law: of k raw +1s each is kept w.p. p_keep,
+            # of n - k raw -1s each is flipped to +1 w.p. 1 - p_keep
+            k = int(np.count_nonzero(values <= tau))
+            return 2 * int(rng.binomial(k, p_keep) + rng.binomial(n - k, 1.0 - p_keep)) - n
     return bisect(config, round_sum)
 
 

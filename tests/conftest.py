@@ -19,15 +19,20 @@ class ConstantRng:
 
 
 class CountingRng:
-    """Wraps a real stream and counts how many variates were consumed."""
+    """Wraps a real stream; counts uniforms consumed and binomial draws taken."""
 
     def __init__(self, seed: int):
         self.inner = make_rng(seed)
         self.consumed = 0
+        self.binomials = 0
 
     def random(self, size=None):
         self.consumed += 1 if size is None else int(size)
         return self.inner.random(size)
+
+    def binomial(self, n, p):
+        self.binomials += 1
+        return self.inner.binomial(n, p)
 
 
 @pytest.fixture

@@ -142,6 +142,32 @@ class TestExperiment:
         assert code == 3
         assert "line 1" in err
 
+    def test_empty_mechanisms_exits_3_with_line(self, capsys, tmp_path):
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text("n_grid = 64\nepsilon_grid = 1\nmechanisms =\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert "line 3" in err
+        assert not out_dir.exists()
+
+    def test_repeated_epsilon_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text(TINY_CFG.replace("epsilon_grid = 2", "epsilon_grid = 2, 2.0"),
+                       encoding="utf-8")
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert "epsilon_grid" in err
+
+    def test_close_epsilons_get_their_own_guideline_files(self, capsys, tmp_path):
+        cfg = tmp_path / "close.cfg"
+        cfg.write_text(TINY_CFG.replace("epsilon_grid = 2", "epsilon_grid = 4, 4.0000001"),
+                       encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])[0] == 0
+        names = sorted(p.name for p in out_dir.glob("guideline_eps*.csv"))
+        assert names == ["guideline_eps4.0000001.csv", "guideline_eps4.csv"]
+
 
 class TestFit:
     def write_curve(self, tmp_path, errs_by_n):

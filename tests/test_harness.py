@@ -248,3 +248,18 @@ mechanisms = binary_search, laplace
     def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_experiment_config(write_cfg(tmp_path, "seed = 1\nseed = 2\nn_grid = 4\n"))
+
+    def test_empty_mechanisms_has_line_number(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 3"):
+            parse_experiment_config(write_cfg(tmp_path, "n_grid = 64\nepsilon_grid = 1\nmechanisms =\n"))
+        with pytest.raises(ValueError, match="mechanisms"):
+            small_spec(mechanisms=())
+
+    @pytest.mark.parametrize("grids", ["n_grid = 64, 0x40\nepsilon_grid = 1\n",
+                                       "n_grid = 64\nepsilon_grid = 4, 4.0\n",
+                                       "n_grid = 64\nepsilon_grid = 1\nmechanisms = laplace, laplace\n"],
+                             ids=["n_grid", "epsilon_grid", "mechanisms"])
+    def test_repeated_grid_value_rejected(self, tmp_path, grids):
+        # a repeat would run the cell twice and, for epsilon, write one guideline twice
+        with pytest.raises(ConfigError, match="without repeats"):
+            parse_experiment_config(write_cfg(tmp_path, grids))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldpmin.datagen import Cohort
-from ldpmin.mechanisms import RoundBudget
+from ldpmin.mechanisms import RoundBudget, rr_keep_probability
 from ldpmin.protocol import (
     BRANCH_LEFT,
     BRANCH_RIGHT,
@@ -137,12 +137,13 @@ class TestNonPrivate:
 
 
 class TestPrivateMin:
-    def test_each_round_consumes_n_draws(self):
+    def test_each_round_takes_two_binomial_draws(self):
         rng = CountingRng(3)
         cohort = fixed_cohort_of(np.linspace(-1, 1, 7))
         config = ProtocolConfig(epsilon=2.0, depth=5, gamma=0.2, n=7)
         run_private_min(cohort, config, rng)
-        assert rng.consumed == 5 * 7
+        assert rng.binomials == 2 * 5
+        assert rng.consumed == 0
 
     def test_transcript_is_replayable(self):
         cohort = fixed_cohort_of(np.linspace(-0.9, 0.4, 11))
@@ -152,16 +153,35 @@ class TestPrivateMin:
         assert t1 == t2
 
     def test_shared_stream_matches_per_user_streams_distributionally(self):
-        # not bit-identical (different stream layouts), but both modes run
-        # and produce valid transcripts over the same config
-        cohort = fixed_cohort_of([0.1, -0.4, 0.8])
-        config = ProtocolConfig(epsilon=1.5, depth=4, gamma=0.4, n=3)
-        t_shared = run_private_min(cohort, config, make_rng(0))
-        t_users = run_private_min(
-            cohort, config, user_rngs=[make_rng(i) for i in range(3)]
-        )
-        assert len(t_shared.rounds) == len(t_users.rounds) == 4
-        assert -1.0 <= t_users.estimate <= 1.0
+        # not bit-identical (different stream layouts), but equal in law.
+        # Fixed seeds; a two-sample KS test must not reject at p < 1e-3, and
+        # the same test must reject the law of a wrong kernel, 2 Binom(n, p)
+        # - n, at p < 1e-6 (so it has the power to tell the laws apart)
+        from scipy.stats import ks_2samp
+
+        reps = 4000
+        # one round at tau = 0: k = 10 of n = 40 users sit at or below it
+        cohort = fixed_cohort_of(np.r_[np.linspace(-0.9, 0.0, 10), np.linspace(0.1, 0.9, 30)])
+        config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.5, n=40)
+        rng = make_rng(70)
+        engine = [run_private_min(cohort, config, rng).rounds[0].sum_z for _ in range(reps)]
+        ref_rng = make_rng(71)
+        reference = [int(respond_round(cohort.values, 0.0, config.round_budget, ref_rng).sum())
+                     for _ in range(reps)]
+        assert ks_2samp(engine, reference).pvalue > 1e-3
+        p_keep = rr_keep_probability(config.round_budget)
+        wrong = 2 * make_rng(72).binomial(config.n, p_keep, size=reps) - config.n
+        assert ks_2samp(wrong, reference).pvalue < 1e-6
+
+        # whole runs on a small cohort: estimates against per-user streams
+        cohort = fixed_cohort_of([0.1, -0.4, 0.8, -0.7, 0.3, -0.1, 0.6, 0.9])
+        config = ProtocolConfig(epsilon=2.0, depth=4, gamma=0.3, n=8)
+        rng = make_rng(73)
+        shared = [run_private_min(cohort, config, rng).estimate for _ in range(2000)]
+        user_rngs = [make_rng(100 + i) for i in range(8)]
+        per_user = [run_private_min(cohort, config, user_rngs=user_rngs).estimate
+                    for _ in range(2000)]
+        assert ks_2samp(shared, per_user).pvalue > 1e-3
 
     def test_requires_exactly_one_stream_argument(self):
         cohort = fixed_cohort_of([0.0])
@@ -210,9 +230,11 @@ class TestPrivateMin:
 
     @pytest.mark.parametrize("epsilon", [2.0, math.inf])
     @pytest.mark.parametrize("setting", ["fixed", "iid"])
-    def test_round_sum_matches_answer_vector_replay(self, setting, epsilon):
-        # the counted round sum against the materialized answers, round by
-        # round, on the same stream; a sorted and an unsorted cohort
+    def test_round_sum_replays_from_two_binomials(self, setting, epsilon):
+        # every round's sum recomputed from a fresh stream with the same seed:
+        # k from the cohort, then Binom(k, p) and Binom(n - k, 1 - p) in that
+        # order, leaving the stream where the run left it; a sorted and an
+        # unsorted cohort
         from ldpmin.datagen import BetaScaled, fixed_cohort, iid_cohort
 
         model = BetaScaled(2.0, 1.0, -0.6, 1.2)
@@ -223,13 +245,15 @@ class TestPrivateMin:
             cohort = iid_cohort(model, n, make_rng(30))
             assert np.any(np.diff(cohort.values) < 0)
         config = ProtocolConfig(epsilon, depth, 0.05, n)
-        rng = CountingRng(31)
+        rng = make_rng(31)
         t = run_private_min(cohort, config, rng)
-        assert rng.consumed == n * depth
+        p_keep = rr_keep_probability(config.round_budget)
         replay = make_rng(31)
         for r in t.rounds:
-            answers = respond_round(cohort.values, r.tau, config.round_budget, replay)
-            assert r.sum_z == int(answers.sum())
+            k = int(np.count_nonzero(cohort.values <= r.tau))
+            plus = replay.binomial(k, p_keep) + replay.binomial(n - k, 1.0 - p_keep)
+            assert r.sum_z == 2 * plus - n
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_degenerate_gamma_forces_all_right(self):
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=5.0, n=1)
