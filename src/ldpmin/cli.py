@@ -179,26 +179,36 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    points = []
+    curves = {}  # (mechanism, epsilon) -> points, in file order
     with open(args.csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"n", "mean_abs_err"} <= set(reader.fieldnames):
             raise RuntimeError(f"{args.csv}: need columns n and mean_abs_err")
         for lineno, row in enumerate(reader, start=2):
             try:
-                points.append((int(row["n"]), float(row["mean_abs_err"])))
+                point = (int(row["n"]), float(row["mean_abs_err"]))
             except (TypeError, ValueError):
                 raise RuntimeError(f"{args.csv}: line {lineno}: malformed row") from None
-    fit = analysis.fit_rate(points)
-    print(f"A = {fit.A!r}")
-    print(f"B = {fit.B!r}")
-    print(f"C = {fit.C!r}")
-    print(f"alpha_hat = {fit.alpha_hat!r}")
-    print(f"residual = {fit.residual!r}")
-    if fit.A <= 0:
-        print("error curve is not decaying (A <= 0); no rate recovered", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+            curves.setdefault((row.get("mechanism"), row.get("epsilon")), []).append(point)
+    if not curves:
+        raise RuntimeError(f"{args.csv}: no rows to fit")
+    code = EXIT_OK
+    for (mechanism, epsilon), points in curves.items():
+        curve = f"mechanism {mechanism}, epsilon {epsilon}" if len(curves) > 1 else None
+        if curve:
+            print(f"# {curve}")
+        fit = analysis.fit_rate(points)
+        print(f"A = {fit.A!r}")
+        print(f"B = {fit.B!r}")
+        print(f"C = {fit.C!r}")
+        print(f"alpha_hat = {fit.alpha_hat!r}")
+        print(f"residual = {fit.residual!r}")
+        if fit.A <= 0:
+            named = f" ({curve})" if curve else ""
+            print(f"error curve{named} is not decaying (A <= 0); no rate recovered",
+                  file=sys.stderr)
+            code = EXIT_RUNTIME
+    return code
 
 
 def _parse_bind(text: str) -> tuple[str, int]:

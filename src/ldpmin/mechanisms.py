@@ -7,9 +7,11 @@ are debiased by the factor (e^eps + 1)/(e^eps - 1), which turns the noisy
 mean back into an unbiased frequency estimate.
 
 All sampling goes through an explicitly passed random stream and each
-operation consumes a fixed number of uniform variates (one per sanitized
-value), so a run is replayable from its seed.  ``epsilon = math.inf`` is
-accepted everywhere as the no-noise switch used by equivalence tests.
+operation here consumes a fixed number of uniform variates (one per
+sanitized value), so a run is replayable from its seed.  A simulated round
+takes none of these: ``protocol`` draws its answer sum as two binomials.
+``epsilon = math.inf`` is accepted everywhere as the no-noise switch used
+by equivalence tests.
 """
 
 from __future__ import annotations

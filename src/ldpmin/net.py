@@ -3,15 +3,17 @@
 Each round is a full barrier: the server sends the current midpoint to all
 clients, reads one sanitized bit from each, then halves the interval.  All
 sanitization happens client-side; the only value derived from a user's
-datum that ever crosses the wire is the randomized-response bit, which the
-tests assert by inspecting the raw inbound byte log.
+datum or seed that ever crosses the wire is the randomized-response bit,
+which the tests assert on the raw inbound line log.  The seed drives the
+client's randomized response and never leaves the client: anyone who holds
+it can undo every flip, so fixed seeds (as in the demo) are for replay only.
 
 Wire format: UTF-8 lines terminated by a newline, space-separated fields,
 first token the message name; a line holds at most ``MAX_LINE`` bytes and
 either end aborts on a longer one.  Reals use the shortest round-trip
 decimal, so dyadic midpoints survive the trip bit-exactly.
 
-    client -> server:  HELLO <client_id>
+    client -> server:  HELLO                       no field
                        RESP <round> <bit>          bit in {-1, 1}
     server -> client:  START <session_id> <depth> <epsilon_round>
                        QUERY <round> <tau>         the midpoint, all a client needs
@@ -28,7 +30,8 @@ aborts the session with one ABORT to each client; the estimator assumes a
 fixed cohort size, so the server never re-normalizes mid-protocol.  A
 client answers QUERY rounds 1..depth of the one START it accepted, each
 once and in order, accepts only a finite RESULT in [-1, 1], and ends any
-other line (an unknown name, an empty line) as ``protocol-error``.
+other line (an unknown name, an empty line) as ``protocol-error``.  Its
+``timeout`` bounds each line, so a session lasts at most depth + 2 of them.
 """
 
 from __future__ import annotations
@@ -59,6 +62,28 @@ class SessionAborted(RuntimeError):
 
 def format_real(x: float) -> str:
     return repr(float(x))
+
+
+def read_line(conn: socket.socket, pending: bytes, deadline: float) -> tuple[str, bytes]:
+    """Next line from ``conn`` by ``deadline``, and the bytes received past it.
+
+    ``pending`` holds bytes received earlier and not yet consumed as lines.
+    Raises ValueError for a line over ``MAX_LINE`` bytes or not UTF-8,
+    TimeoutError once the deadline passes, ConnectionError at end of stream.
+    """
+    while b"\n" not in pending[:MAX_LINE + 1]:
+        if len(pending) > MAX_LINE:
+            raise ValueError(f"a line over {MAX_LINE} bytes")
+        remaining = deadline - time.monotonic()
+        if remaining <= 0.0:
+            raise TimeoutError("no complete line before the deadline")
+        conn.settimeout(remaining)  # so trickled bytes cannot stretch it
+        chunk = conn.recv(8192)
+        if not chunk:
+            raise ConnectionError("the peer closed the connection mid-session")
+        pending += chunk
+    raw, _, pending = pending.partition(b"\n")
+    return raw.decode("utf-8"), pending
 
 
 @dataclass
@@ -129,41 +154,24 @@ class MinServer:
         except (socket.timeout, BlockingIOError):
             raise self._abort("timeout") from None
 
-    def _read_line(self, client: _Client, deadline: float) -> list[str]:
-        """Next line from ``client`` by ``deadline``, logged and split into fields."""
-        while b"\n" not in client.pending[:MAX_LINE + 1]:
-            if len(client.pending) > MAX_LINE:
-                raise self._abort("malformed-message")
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0:
-                raise self._abort("timeout")
-            try:
-                client.conn.settimeout(remaining)  # so trickled bytes cannot stretch it
-                chunk = client.conn.recv(4096)
-            except socket.timeout:
-                raise self._abort("timeout") from None
-            except OSError:
-                chunk = b""
-            if not chunk:
-                raise self._abort("client-disconnected")
-            client.pending += chunk
-        raw, _, client.pending = client.pending.partition(b"\n")
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise self._abort("malformed-message") from None
-        self.wire_log.append((client.index, line))
-        return line.split()
-
     def _barrier(self):
-        """One line from each client, in client order, under one deadline."""
+        """One logged line from each client, in client order, under one deadline."""
         deadline = time.monotonic() + self.round_timeout
         for client in self._clients:
-            yield self._read_line(client, deadline)
+            try:
+                line, client.pending = read_line(client.conn, client.pending, deadline)
+            except ValueError:
+                raise self._abort("malformed-message") from None
+            except TimeoutError:
+                raise self._abort("timeout") from None
+            except OSError:  # end of stream, or a reset connection
+                raise self._abort("client-disconnected") from None
+            self.wire_log.append((client.index, line))
+            yield line.split()
 
     def _expect_hellos(self) -> None:
         for parts in self._barrier():
-            if len(parts) != 2 or parts[0] != "HELLO":
+            if parts != ["HELLO"]:
                 raise self._abort("protocol-error")
 
     def _query_round(self, round_no: int, tau: float) -> int:
@@ -209,15 +217,13 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int,
         raise ValueError(f"value must lie in [-1, 1], got {x!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-    with socket.create_connection(connect_address, timeout=timeout) as conn, \
-            conn.makefile("rb") as fh:
-        conn.sendall(f"HELLO u{seed}\n".encode("utf-8"))
-        budget, depth, answered = None, 0, 0
-        while raw := fh.readline(MAX_LINE + 1):
+    with socket.create_connection(connect_address, timeout=timeout) as conn:
+        conn.sendall(b"HELLO\n")
+        budget, depth, answered, pending = None, 0, 0, b""
+        while True:
             try:
-                if len(raw) > MAX_LINE and not raw.endswith(b"\n"):
-                    raise ValueError("a line over MAX_LINE bytes")
-                kind, *fields = raw.decode("utf-8").split()
+                line, pending = read_line(conn, pending, time.monotonic() + timeout)
+                kind, *fields = line.split()
                 if kind == "ABORT":
                     raise SessionAborted(fields[0] if fields else "unknown")
                 if kind == "START":
@@ -244,4 +250,3 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int,
                 # field count, an unparsable number, a bad budget or tau, or a
                 # line out of order
                 raise SessionAborted("protocol-error") from None
-        raise ConnectionError("server closed the connection before RESULT")

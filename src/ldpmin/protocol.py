@@ -62,8 +62,7 @@ class ProtocolConfig:
     n: int
 
     def __post_init__(self):
-        if math.isnan(self.epsilon) or self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        PrivacyBudget(self.epsilon)  # raises on a NaN or nonpositive epsilon
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(
                 f"depth must lie in [1, {MAX_DEPTH}] (float64 midpoint resolution), "

@@ -1,7 +1,7 @@
 import json
 import threading
 
-from ldpmin import cli
+from ldpmin import analysis, cli
 from ldpmin.net import run_client
 
 
@@ -176,6 +176,48 @@ class TestFit:
         lines += [f"{n},{e},ignored" for n, e in errs_by_n]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
+
+    def write_sweep(self, path, curves):
+        """A results.csv-like file: one row per (curve, N), rows interleaved by N."""
+        lines = ["n,epsilon,mechanism,mean_abs_err"]
+        for rows in zip(*curves.values()):
+            for (mechanism, epsilon), (n, err) in zip(curves, rows):
+                lines.append(f"{n},{epsilon},{mechanism},{err}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_fits_each_curve_of_a_sweep(self, capsys, tmp_path):
+        ns = [2**k for k in range(8, 14)]
+        curves = {("binary_search", "1.0"): [(n, n ** -0.5) for n in ns],
+                  ("laplace", "1.0"): [(n, 3 * n ** -0.25) for n in ns],
+                  ("binary_search", "4.0"): [(n, 0.5 * n ** -0.5) for n in ns],
+                  ("laplace", "4.0"): [(n, n ** -0.3) for n in ns]}
+        blocks = []
+        for i, (key, points) in enumerate(curves.items()):
+            # a one-curve file prints the five lines alone, as it always has
+            alone = self.write_sweep(tmp_path / f"curve{i}.csv", {key: points})
+            code, out, _ = run_main(capsys, ["fit", str(alone)])
+            assert code == 0
+            fit = analysis.fit_rate(points)
+            assert out == (f"A = {fit.A!r}\nB = {fit.B!r}\nC = {fit.C!r}\n"
+                           f"alpha_hat = {fit.alpha_hat!r}\nresidual = {fit.residual!r}\n")
+            blocks.append(f"# mechanism {key[0]}, epsilon {key[1]}\n" + out)
+        sweep = self.write_sweep(tmp_path / "all.csv", curves)
+        code, out, _ = run_main(capsys, ["fit", str(sweep)])
+        assert code == 0
+        assert out == "".join(blocks)
+
+    def test_growing_curve_of_a_sweep_is_named(self, capsys, tmp_path):
+        ns = [2**k for k in range(8, 12)]
+        curves = {("binary_search", "1.0"): [(n, n ** -0.5) for n in ns],
+                  ("laplace", "1.0"): [(n, n / 100.0) for n in ns]}
+        sweep = self.write_sweep(tmp_path / "all.csv", curves)
+        code, out, err = run_main(capsys, ["fit", str(sweep)])
+        assert code == 3
+        assert out.count("A = ") == 2
+        assert "not decaying" in err
+        assert "mechanism laplace, epsilon 1.0" in err
+        assert "binary_search" not in err
 
     def test_recovers_square_root_law(self, capsys, tmp_path):
         path = self.write_curve(tmp_path, [(2**k, (2**k) ** -0.5) for k in range(8, 14)])

@@ -155,13 +155,11 @@ class TestLoopbackEquivalence:
             per_client.setdefault(idx, []).append(line)
         assert len(per_client) == 3
         for lines in per_client.values():
-            assert lines[0].split()[0] == "HELLO"
+            # nothing derived from the client's seed or value but its bits
+            assert lines[0] == "HELLO"
             assert len(lines) == 1 + config.depth
-            for line in lines[1:]:
-                kind, round_no, bit = line.split()
-                assert kind == "RESP"
-                assert 1 <= int(round_no) <= config.depth
-                assert bit in ("-1", "1")
+            for t, line in enumerate(lines[1:], start=1):
+                assert line in (f"RESP {t} -1", f"RESP {t} 1")
 
     def test_same_seed_replays_identical_responses(self):
         # each barrier is read in client order, so the whole log replays
@@ -207,7 +205,7 @@ class TestFailurePaths:
         server = MinServer(config, 1, round_timeout=5.0)
         thread, out = serve_in_thread(server)
         with socket.create_connection(server.address, timeout=5.0) as conn:
-            conn.sendall(b"HELLO rogue\n")
+            conn.sendall(b"HELLO\n")
             fh = conn.makefile("r", encoding="utf-8")
             assert fh.readline().startswith("START")
             assert fh.readline().startswith("QUERY 1")
@@ -222,7 +220,7 @@ class TestFailurePaths:
         server = MinServer(config, 1, round_timeout=5.0)
         thread, out = serve_in_thread(server)
         with socket.create_connection(server.address, timeout=5.0) as conn:
-            conn.sendall(b"HELLO rogue\n")
+            conn.sendall(b"HELLO\n")
             fh = conn.makefile("r", encoding="utf-8")
             fh.readline()  # START
             fh.readline()  # QUERY 1
@@ -257,6 +255,33 @@ class TestFailurePaths:
         assert outcome.reason == "protocol-error"
         assert received.count(b"RESP ") == resps
 
+    def test_trickled_line_times_out_within_the_client_timeout(self):
+        # a byte every 0.3 s never leaves a 0.5 s gap, but the line's 0.5 s is up
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            stop = threading.Event()
+
+            def trickle():
+                conn, _ = listener.accept()
+                with conn, contextlib.suppress(OSError):  # the client may be gone
+                    conn.sendall(b"START s1 1 1.0\n")
+                    for byte in b"QUERY 1 0.5\n":
+                        if stop.wait(0.3):
+                            return
+                        conn.sendall(bytes([byte]))
+
+            thread = threading.Thread(target=trickle)
+            thread.start()
+            start = time.monotonic()
+            try:
+                with pytest.raises(TimeoutError):
+                    run_client(listener.getsockname(), 0.5, 1, timeout=0.5)
+                elapsed = time.monotonic() - start
+            finally:
+                stop.set()
+                thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert elapsed < 1.0
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.one_of(
         st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"")),
@@ -285,9 +310,17 @@ class TestBarrier:
     ], ids=["300-unterminated", "4k-unterminated", "padded-resp"])
     def test_overlong_line_is_malformed(self, line):
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.4, n=1)
-        reason, (seen,) = serve_raw(config, [b"HELLO long\n" + line])
+        reason, (seen,) = serve_raw(config, [b"HELLO\n" + line])
         assert reason == "malformed-message"
         assert seen.splitlines()[2:] == [b"ABORT malformed-message"]  # one ABORT, not two
+
+    @pytest.mark.parametrize("hello", [b"HELLO u4100\n", b"HELLO anything\n"],
+                             ids=["seed-id", "name"])
+    def test_hello_with_a_field_is_protocol_error(self, hello):
+        config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.4, n=1)
+        reason, (seen,) = serve_raw(config, [hello])
+        assert reason == "protocol-error"
+        assert seen.splitlines() == [b"ABORT protocol-error"]
 
     def test_invalid_utf8_hello_is_malformed_without_a_thread(self, monkeypatch):
         def no_thread(_self):
@@ -295,7 +328,7 @@ class TestBarrier:
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.4, n=2)
-        reason, seen = serve_raw(config, [b"HELLO ok\n", b"HELLO \xff\xfe\n"])
+        reason, seen = serve_raw(config, [b"HELLO\n", b"HELLO \xff\xfe\n"])
         assert reason == "malformed-message"
         assert [s.splitlines() for s in seen] == [[b"ABORT malformed-message"]] * 2
 
@@ -310,8 +343,8 @@ class TestBarrier:
                 conns.append(socket.create_connection(server.address, timeout=5.0))
                 while len(server._clients) <= i and thread.is_alive():
                     time.sleep(0.001)  # so connection i is the server's client i
-            for i, conn in enumerate(conns):
-                conn.sendall(f"HELLO c{i}\n".encode("utf-8"))
+            for conn in conns:
+                conn.sendall(b"HELLO\n")
             readers = [conn.makefile("rb") for conn in conns]
             for fh in readers:
                 assert fh.readline().startswith(b"START")
@@ -343,7 +376,7 @@ class TestBarrier:
                 if thread.is_alive():
                     with contextlib.suppress(ConnectionRefusedError):  # closed since the check
                         conns.append(socket.create_connection(server.address, timeout=5.0))
-                        conns[-1].sendall(f"HELLO c{i}\n".encode("utf-8"))
+                        conns[-1].sendall(b"HELLO\n")
             thread.join(timeout=10.0)
             assert not thread.is_alive()
             assert out.get("reason") == "timeout"
@@ -363,7 +396,7 @@ class TestBarrier:
         config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.4, n=1)
         server = MinServer(config, 1, round_timeout=2.0)
         with socket.create_connection(server.address, timeout=5.0) as conn:
-            conn.sendall(b"HELLO fuzz\n" + b"".join(chunks))
+            conn.sendall(b"HELLO\n" + b"".join(chunks))
             conn.shutdown(socket.SHUT_WR)  # then the server sees EOF, not silence
             try:
                 transcript = server.run()
