@@ -17,7 +17,7 @@ import numpy as np
 from ldpmin.datagen import Cohort
 from ldpmin.net import MinServer, run_client
 from ldpmin.params import params_known_alpha
-from ldpmin.protocol import ProtocolConfig, run_private_min
+from ldpmin.protocol import run_private_min
 
 VALUES = [0.52, -0.31, 0.88, -0.94, 0.05, 0.27, -0.63, 0.74]
 SEEDS = list(range(4000, 4008))
@@ -26,9 +26,8 @@ EPSILON = 2.0
 
 def main():
     n = len(VALUES)
-    schedule = params_known_alpha(n, 1.0, EPSILON)
-    config = ProtocolConfig(EPSILON, schedule.depth, schedule.gamma, n)
-    print(f"n={n} eps={EPSILON} depth={schedule.depth} gamma={schedule.gamma:.4f}")
+    config = params_known_alpha(n, 1.0, EPSILON)
+    print(f"n={n} eps={EPSILON} depth={config.depth} gamma={config.gamma:.4f}")
 
     server = MinServer(config, n, round_timeout=10.0)
     out = {}

@@ -127,12 +127,9 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
 
     if args.param_mode is not None:
-        params = choose_params(args.param_mode, cohort.n, epsilon)
-        depth, gamma = params.depth, params.gamma
+        config = choose_params(args.param_mode, cohort.n, epsilon)
     else:
-        depth, gamma = args.depth, args.gamma
-
-    config = ProtocolConfig(epsilon=epsilon, depth=depth, gamma=gamma, n=cohort.n)
+        config = ProtocolConfig(epsilon, args.depth, args.gamma, cohort.n)
     transcript = run_private_min(cohort, config, rng)
     text = transcript_json_lines(transcript)
     if args.out:
@@ -216,18 +213,34 @@ def _parse_bind(text: str) -> tuple[str, int]:
     if not sep:
         raise UsageError(f"address must be host:port, got {text!r}")
     try:
-        return host, int(port)
+        port = int(port)
     except ValueError:
-        raise UsageError(f"bad port in address {text!r}") from None
+        port = -1
+    if not 0 <= port <= 65535:
+        raise UsageError(f"bad port in address {text!r} (need 0-65535)")
+    return host, port
+
+
+def _parse_timeout(text: str) -> float:
+    # a socket timeout past about 9.2e9 s overflows the platform's time_t
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= 1e9:
+        raise UsageError(f"--timeout must be a positive number of seconds up to 1e9, "
+                         f"got {text!r}")
+    return value
 
 
 def cmd_serve(args) -> int:
     host, port = _parse_bind(args.bind)
+    timeout = _parse_timeout(args.timeout)
     epsilon = _parse_epsilon(args.epsilon)
     config = ProtocolConfig(epsilon=epsilon, depth=args.depth, gamma=args.gamma,
                             n=args.clients)
     server = net.MinServer(config, args.clients, host=host,
-                           port=port, round_timeout=args.timeout)
+                           port=port, round_timeout=timeout)
     print(f"LISTENING {server.address[0]}:{server.address[1]}", flush=True)
     transcript = server.run()
     print(f"RESULT {net.format_real(transcript.estimate)}")
@@ -240,7 +253,7 @@ def cmd_client(args) -> int:
     if not -1.0 <= args.value <= 1.0:
         raise UsageError(f"--value must lie in [-1, 1], got {args.value}")
     estimate = net.run_client(_parse_bind(args.connect), args.value, args.seed,
-                              timeout=args.timeout)
+                              timeout=_parse_timeout(args.timeout))
     print(net.format_real(estimate))
     return EXIT_OK
 
@@ -258,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--depth", type=int, default=None, help="rounds L (with --gamma)")
     sim.add_argument("--gamma", type=float, default=None, help="explicit decision threshold")
     sim.add_argument("--param-mode", default=None,
-                     help="schedule: lower_alpha | known_alpha:<a0> | unknown_alpha[:base]")
+                     help="schedule that sets depth and gamma: "
+                          "lower_alpha | known_alpha:<a0> | unknown_alpha")
     # model flags left out take ModelTemplate's defaults
     model_flag = dict(default=argparse.SUPPRESS)
     sim.add_argument("--model", dest="kind", help=" | ".join(harness.MODEL_KINDS), **model_flag)
@@ -290,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--epsilon", required=True)
     srv.add_argument("--depth", type=int, required=True)
     srv.add_argument("--gamma", type=float, required=True)
-    srv.add_argument("--timeout", type=float, default=30.0,
+    srv.add_argument("--timeout", default="30",
                      help="deadline (s) for the connect phase and for each barrier")
     srv.add_argument("--out", default=None, help="write the transcript here")
     srv.set_defaults(func=cmd_serve)
@@ -299,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     cli.add_argument("--connect", required=True, help="server host:port")
     cli.add_argument("--value", type=float, required=True, help="this user's datum in [-1, 1]")
     cli.add_argument("--seed", type=int, required=True)
-    cli.add_argument("--timeout", type=float, default=30.0)
+    cli.add_argument("--timeout", default="30",
+                     help="deadline (s) for the connect and for each line read")
     cli.set_defaults(func=cmd_client)
 
     return parser

@@ -26,8 +26,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .datagen import BetaScaled, TruncNormal, fixed_cohort, iid_cohort
-from .mechanisms import PrivacyBudget
-from .params import ParamChoice, choose_params
+from .params import choose_params
 from .protocol import ProtocolConfig, baseline_min, run_nonprivate_min, run_private_min
 
 MECH_BINARY_SEARCH = "binary_search"
@@ -149,29 +148,28 @@ def rep_rng(seed: int, mechanism: str, n: int, epsilon: float, x_min: float, rep
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def _errors_for_placement(spec: ExperimentSpec, mechanism: str, n: int,
-                          epsilon: float, x_min: float, params: ParamChoice) -> np.ndarray:
+def _errors_for_placement(spec: ExperimentSpec, mechanism: str, config: ProtocolConfig,
+                          x_min: float) -> np.ndarray:
     model = spec.model.place(x_min)
     fixed = spec.setting == "fixed"
-    cohort = fixed_cohort(model, n) if fixed else None
+    cohort = fixed_cohort(model, config.n) if fixed else None
 
     if mechanism == MECH_NONPRIVATE and fixed:
         # deterministic: one run stands for all repetitions
-        err = abs(run_nonprivate_min(cohort, params.depth).estimate - x_min)
+        err = abs(run_nonprivate_min(cohort, config.depth).estimate - x_min)
         return np.full(spec.reps, err)
 
     errs = np.empty(spec.reps)
     for rep in range(spec.reps):
-        rng = rep_rng(spec.seed, mechanism, n, epsilon, x_min, rep)
+        rng = rep_rng(spec.seed, mechanism, config.n, config.epsilon, x_min, rep)
         if not fixed:
-            cohort = iid_cohort(model, n, rng)
+            cohort = iid_cohort(model, config.n, rng)
         if mechanism == MECH_BINARY_SEARCH:
-            config = ProtocolConfig(epsilon, params.depth, params.gamma, n)
             estimate = run_private_min(cohort, config, rng).estimate
         elif mechanism == MECH_LAPLACE:
-            estimate = baseline_min(cohort, PrivacyBudget(epsilon), rng)
+            estimate = baseline_min(cohort, config.budget, rng)
         else:
-            estimate = run_nonprivate_min(cohort, params.depth).estimate
+            estimate = run_nonprivate_min(cohort, config.depth).estimate
         errs[rep] = abs(estimate - x_min)
     return errs
 
@@ -179,16 +177,15 @@ def _errors_for_placement(spec: ExperimentSpec, mechanism: str, n: int,
 def run_experiment(spec: ExperimentSpec) -> list[CellResult]:
     """Full sweep; one row per (N, epsilon, mechanism), worst placement kept."""
     # every schedule first, so one past the depth bound fails before any run
-    schedules = {(n, epsilon): choose_params(spec.param_mode, n, epsilon)
-                 for epsilon in spec.epsilon_grid for n in spec.n_grid}
+    configs = {(n, epsilon): choose_params(spec.param_mode, n, epsilon)
+               for epsilon in spec.epsilon_grid for n in spec.n_grid}
     results = []
     for mechanism in spec.mechanisms:
         for epsilon in spec.epsilon_grid:
             for n in spec.n_grid:
-                params = schedules[(n, epsilon)]
                 worst = None
                 for x_min in spec.xmin_grid:
-                    errs = _errors_for_placement(spec, mechanism, n, epsilon, x_min, params)
+                    errs = _errors_for_placement(spec, mechanism, configs[(n, epsilon)], x_min)
                     mean = float(errs.mean())
                     if worst is None or mean > worst[0]:
                         worst = (mean, x_min, errs)
@@ -244,7 +241,7 @@ def guideline_curve(param_mode: str, alpha: float, n_grid, epsilon: float,
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    log_power = 6.0 if param_mode.startswith("unknown_alpha") else 3.0
+    log_power = 6.0 if param_mode == "unknown_alpha" else 3.0
     ns = sorted(int(n) for n in n_grid)
     raw = [(n, (math.log(n) ** log_power / (epsilon**2 * n)) ** (1.0 / (2.0 * alpha)))
            for n in ns]

@@ -49,12 +49,20 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class RoundBudget:
-    """Per-query privacy parameter (epsilon / depth under an even split)."""
+    """Per-query privacy parameter (epsilon / depth under an even split).
+
+    Refused when so small that the debiasing factor :func:`phi_correction`
+    is not a finite float (below about 1.1e-308).
+    """
 
     epsilon_round: float
 
     def __post_init__(self):
         _validate_epsilon(self.epsilon_round, "epsilon_round")
+        tanh_half = math.tanh(self.epsilon_round / 2.0)
+        if tanh_half == 0.0 or math.isinf(1.0 / tanh_half):
+            raise ValueError(f"epsilon_round = {self.epsilon_round!r} is too small: "
+                             f"its debiasing factor overflows")
 
 
 def rr_keep_probability(budget: RoundBudget) -> float:

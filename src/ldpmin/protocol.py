@@ -72,6 +72,7 @@ class ProtocolConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        self.round_budget  # raises on a per-round budget too small to debias
 
     @property
     def budget(self) -> PrivacyBudget:

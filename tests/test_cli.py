@@ -1,6 +1,8 @@
 import json
 import threading
 
+import pytest
+
 from ldpmin import analysis, cli
 from ldpmin.net import run_client
 
@@ -85,6 +87,15 @@ class TestSimulate:
         assert code == 3
         assert out == "" and "54" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--epsilon", "1e-300", "--param-mode", "lower_alpha"],
+        ["--epsilon", "1e-320", "--depth", "3", "--gamma", "0.3"],
+    ], ids=["schedule", "explicit"])
+    def test_epsilon_below_float_resolution_exits_3(self, capsys, argv):
+        code, out, err = run_main(capsys, ["simulate", "--data", "0.5,0.1,-0.2", *argv])
+        assert code == 3
+        assert out == "" and err.startswith("error:")
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "transcript.jsonl"
         code, out, _ = run_main(capsys, [
@@ -158,6 +169,23 @@ class TestExperiment:
         code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == 3
         assert "epsilon_grid" in err
+
+    def test_epsilon_below_float_resolution_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "tiny_eps.cfg"
+        cfg.write_text(TINY_CFG.replace("epsilon_grid = 2", "epsilon_grid = 1e-300"),
+                       encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert err.startswith("error:") and "resolution" in err
+        assert not out_dir.exists()
+
+    def test_unknown_alpha_base_is_an_unknown_mode(self, capsys, tmp_path):
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(TINY_CFG.replace("lower_alpha", "unknown_alpha:50"), encoding="utf-8")
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "unknown parameter mode 'unknown_alpha:50'" in err
 
     def test_close_epsilons_get_their_own_guideline_files(self, capsys, tmp_path):
         cfg = tmp_path / "close.cfg"
@@ -308,3 +336,29 @@ class TestServeAndClient:
         ])
         assert code == 3
         assert "timeout" in err
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+    def test_serve_port_out_of_range_is_usage_error(self, capsys, port):
+        code, out, err = run_main(capsys, [
+            "serve", "--bind", f"127.0.0.1:{port}", "--clients", "1",
+            "--epsilon", "1", "--depth", "1", "--gamma", "0.1",
+        ])
+        assert code == 2
+        assert "LISTENING" not in out and "0-65535" in err
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1", "1e10", "soon"])
+    @pytest.mark.parametrize("command", [
+        ["serve", "--bind", "127.0.0.1:0", "--clients", "1",
+         "--epsilon", "1", "--depth", "1", "--gamma", "0.1"],
+        ["client", "--connect", "127.0.0.1:1", "--value", "0.5", "--seed", "0"],
+    ], ids=["serve", "client"])
+    def test_bad_timeout_is_usage_error_before_any_socket(self, capsys, monkeypatch,
+                                                          command, timeout):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(cli.net, "MinServer", no_socket)
+        monkeypatch.setattr(cli.net, "run_client", no_socket)
+        code, out, err = run_main(capsys, [*command, "--timeout", timeout])
+        assert code == 2
+        assert out == "" and err.startswith("error: --timeout")

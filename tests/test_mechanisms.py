@@ -28,6 +28,15 @@ class TestBudgets:
             with pytest.raises(ValueError):
                 RoundBudget(bad)
 
+    def test_rejects_round_budget_too_small_to_debias(self):
+        # coth(eps/2) ~ 2/eps leaves float64 below eps ~ 1.1e-308
+        for tiny in (1e-320, 5e-324):
+            with pytest.raises(ValueError, match="debiasing"):
+                RoundBudget(tiny)
+            with pytest.raises(ValueError, match="debiasing"):
+                PrivacyBudget(3 * tiny).split(3)
+        assert math.isfinite(phi_correction(RoundBudget(2.3e-308)))
+
     def test_inf_is_the_noise_free_switch(self):
         assert PrivacyBudget(math.inf).split(3).epsilon_round == math.inf
 

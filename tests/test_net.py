@@ -386,6 +386,25 @@ class TestBarrier:
             for conn in conns:
                 conn.close()
 
+    FUZZ_CONFIG = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.4, n=1)
+
+    def serve_fuzz(self, chunks):
+        """One depth-2 session fed HELLO then ``chunks``; the transcript or the abort."""
+        server = MinServer(self.FUZZ_CONFIG, 1, round_timeout=2.0)
+        with socket.create_connection(server.address, timeout=5.0) as conn:
+            conn.sendall(b"HELLO\n" + b"".join(chunks))
+            conn.shutdown(socket.SHUT_WR)  # then the server sees EOF, not silence
+            try:
+                return server.run()
+            except SessionAborted as exc:
+                return exc
+
+    def test_server_fuzz_harness_completes_a_well_formed_session(self):
+        # pins the harness: a server refusing every handshake fails here
+        transcript = self.serve_fuzz([b"RESP 1 1\n", b"RESP 2 -1\n"])
+        assert not isinstance(transcript, SessionAborted), transcript
+        assert [r.sum_z for r in transcript.rounds] == [1, -1]
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.one_of(
         st.binary(max_size=300),
@@ -393,13 +412,6 @@ class TestBarrier:
                          b"RESP 0 1\n", b"RESP 3 1\n", b"HELLO again\n", b"\n"]),
     ), max_size=6))
     def test_server_fuzz_completes_or_aborts_cleanly(self, chunks):
-        config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.4, n=1)
-        server = MinServer(config, 1, round_timeout=2.0)
-        with socket.create_connection(server.address, timeout=5.0) as conn:
-            conn.sendall(b"HELLO\n" + b"".join(chunks))
-            conn.shutdown(socket.SHUT_WR)  # then the server sees EOF, not silence
-            try:
-                transcript = server.run()
-            except SessionAborted:
-                return
-        assert len(transcript.rounds) == config.depth
+        outcome = self.serve_fuzz(chunks)
+        if not isinstance(outcome, SessionAborted):
+            assert len(outcome.rounds) == self.FUZZ_CONFIG.depth

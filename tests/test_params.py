@@ -3,12 +3,12 @@ import math
 import pytest
 
 from ldpmin.params import (
-    ParamChoice,
     choose_params,
     gamma_threshold,
     params_known_alpha,
     params_unknown_alpha,
 )
+from ldpmin.protocol import ProtocolConfig
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -56,23 +56,33 @@ class TestGammaThreshold:
         with pytest.raises(ValueError):
             gamma_threshold(1.0, 1, -1.0, 10)
 
+    def test_rejects_epsilon_below_float_resolution(self):
+        # e^-m rounds to 1 once m = eps/L drops below 2^-54 (about 5.6e-17)
+        with pytest.raises(ValueError, match="resolution"):
+            gamma_threshold(1e-300, 3, 1.0, 10)
+        with pytest.raises(ValueError, match="resolution"):
+            gamma_threshold(1.5e-16, 3, 1.0, 10)
+        assert math.isfinite(gamma_threshold(3e-16, 3, 1.0, 10))
+
 
 class TestKnownAlphaSchedule:
     def test_depth_and_h_at_two_to_twenty(self):
         p = params_known_alpha(2**20, 1.0, 4.0)
-        assert p.depth == 10
-        assert p.h == pytest.approx(math.log(2**20) / 2, rel=1e-15)
-        assert p.mode == "lower_alpha"
+        assert isinstance(p, ProtocolConfig)
+        assert (p.epsilon, p.depth, p.n) == (4.0, 10, 2**20)
+        assert p.gamma == gamma_threshold(4.0, 10, math.log(2**20) / 2.0, 2**20)
 
     def test_depth_floor(self):
         assert params_known_alpha(2, 1.0, 1.0).depth == 1
 
     def test_half_alpha_doubles_depth(self):
-        assert params_known_alpha(2**10, 0.5, 1.0).depth == 10
+        p = params_known_alpha(2**10, 0.5, 1.0)
+        assert p.depth == 10
+        assert p.gamma == gamma_threshold(1.0, 10, math.log(2**10) / 1.0, 2**10)
 
     def test_gamma_is_cached_consistently(self):
         p = params_known_alpha(5000, 1.0, 2.0)
-        assert p.gamma == gamma_threshold(2.0, p.depth, p.h, 5000)
+        assert p.gamma == gamma_threshold(2.0, p.depth, math.log(5000) / 2.0, 5000)
 
     def test_discretization_below_target_rate(self):
         # 2^-L <= N^(-1/(2 alpha0)) so the grid never dominates the rate
@@ -90,29 +100,35 @@ class TestKnownAlphaSchedule:
         with pytest.raises(ValueError, match="54"):
             choose_params("known_alpha:0.1", 2048, 1.0)  # would be depth 55
 
+    def test_epsilon_below_float_resolution_rejected(self):
+        with pytest.raises(ValueError, match="resolution"):
+            params_known_alpha(1000, 1.0, 1e-300)
+
+
+def unknown_alpha_h(n):
+    return 0.5 * (math.log(n) / math.log(1000.0)) * math.log(n)
+
 
 class TestUnknownAlphaSchedule:
     def test_presets_coincide_at_base(self):
         lower = params_known_alpha(1000, 1.0, 2.0)
         unknown = params_unknown_alpha(1000, 2.0)
-        assert unknown.depth == lower.depth == 5
-        assert unknown.h == lower.h
-        assert unknown.gamma == lower.gamma
+        assert unknown == lower
+        assert unknown.depth == 5
+        assert unknown.gamma == gamma_threshold(2.0, 5, math.log(1000) / 2.0, 1000)
 
     def test_depth_at_two_to_twenty(self):
-        assert params_unknown_alpha(2**20, 1.0).depth == 21
+        p = params_unknown_alpha(2**20, 1.0)
+        assert (p.epsilon, p.depth, p.n) == (1.0, 21, 2**20)
+        assert p.gamma == gamma_threshold(1.0, 21, unknown_alpha_h(2**20), 2**20)
 
     def test_monotone_in_n(self):
         grid = [2**k for k in range(2, 21)]
-        depths = [params_unknown_alpha(n, 1.0).depth for n in grid]
-        hs = [params_unknown_alpha(n, 1.0).h for n in grid]
+        configs = [params_unknown_alpha(n, 1.0) for n in grid]
+        depths = [p.depth for p in configs]
         assert depths == sorted(depths)
-        assert hs == sorted(hs)
-
-    def test_custom_base(self):
-        p = params_unknown_alpha(10**6, 1.0, base=100.0)
-        assert p.mode == "unknown_alpha:100"
-        assert p.h == pytest.approx(math.log(10**6) ** 2 / (2 * math.log(100)), rel=1e-12)
+        for n, p in zip(grid, configs):
+            assert p.gamma == gamma_threshold(1.0, p.depth, unknown_alpha_h(n), n)
 
 
 class TestModeTokens:
@@ -120,9 +136,6 @@ class TestModeTokens:
         assert choose_params("lower_alpha", 500, 1.0) == params_known_alpha(500, 1.0, 1.0)
         assert choose_params("known_alpha:2", 500, 1.0) == params_known_alpha(500, 2.0, 1.0)
         assert choose_params("unknown_alpha", 500, 1.0) == params_unknown_alpha(500, 1.0)
-        assert choose_params("unknown_alpha:50", 500, 1.0) == params_unknown_alpha(
-            500, 1.0, base=50.0
-        )
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -130,8 +143,6 @@ class TestModeTokens:
         with pytest.raises(ValueError):
             choose_params("known_alpha:x", 100, 1.0)
 
-    def test_param_choice_validation(self):
-        with pytest.raises(ValueError):
-            ParamChoice("lower_alpha", 0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            ParamChoice("lower_alpha", 1, 0.0, 0.1)
+    def test_unknown_alpha_takes_no_argument(self):
+        with pytest.raises(ValueError, match="unknown parameter mode"):
+            choose_params("unknown_alpha:50", 500, 1.0)

@@ -102,6 +102,8 @@ class TestBisect:
         with pytest.raises(ValueError, match="54"):
             ProtocolConfig(1.0, MAX_DEPTH + 1, 0.1, 1)
         with pytest.raises(ValueError, match="54"):
+            ProtocolConfig(1.0, 0, 0.1, 1)
+        with pytest.raises(ValueError, match="54"):
             run_nonprivate_min(fixed_cohort_of([-1.0]), MAX_DEPTH + 1)
 
 
