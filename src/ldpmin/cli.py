@@ -222,15 +222,11 @@ def _parse_bind(text: str) -> tuple[str, int]:
 
 
 def _parse_timeout(text: str) -> float:
-    # a socket timeout past about 9.2e9 s overflows the platform's time_t
     try:
-        value = float(text)
+        return net.check_timeout(float(text))
     except ValueError:
-        value = math.nan
-    if not 0 < value <= 1e9:
         raise UsageError(f"--timeout must be a positive number of seconds up to 1e9, "
-                         f"got {text!r}")
-    return value
+                         f"got {text!r}") from None
 
 
 def cmd_serve(args) -> int:

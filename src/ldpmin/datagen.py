@@ -10,7 +10,9 @@ Cohorts come in two flavours:
 
 * fixed: user i holds the deterministic quantile F*((i-1)/(N-1)), so the
   empirical CDF of the cohort interpolates F exactly;
-* iid: users hold independent draws from F.
+* iid: users hold independent draws from F.  A search reads only counts
+  (``count_at_or_below``), and :class:`IidCounts` draws an iid cohort's counts
+  from their exact law without its values, at a cost that does not grow with N.
 
 Quantiles of both models are closed forms (the inverse incomplete
 beta function; the normal quantile on the side of the mean where the
@@ -20,7 +22,9 @@ is inverse CDF from one uniform per value so that seeded runs are replayable.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +80,8 @@ class BetaScaled:
         return self.alpha
 
     def cdf(self, x):
-        _check_domain(x)
-        u = np.clip((np.asarray(x, dtype=float) - self.x_min) / self.delta, 0.0, 1.0)
-        out = special.betainc(self.alpha, self.beta, u)
+        u = (_checked(x) - self.x_min) / self.delta
+        out = special.betainc(self.alpha, self.beta, _clip(u, 0.0, 1.0))
         return float(out) if np.isscalar(x) else out
 
     def _inverse(self, qs):
@@ -123,17 +126,16 @@ class TruncNormal:
 
     def _phi(self, x):
         """Phi(side * (x - mu) / sigma): monotone in x, decreasing when side = -1."""
-        return special.ndtr(self._side * (np.asarray(x, dtype=float) - self.mu) / self.sigma)
+        return special.ndtr(self._side * (x - self.mu) / self.sigma)
 
-    @property
+    @functools.cached_property
     def _mass(self) -> float:
         """Normal probability of the support, the truncation's normalizer."""
         return float(abs(self._phi(self.x_max) - self._phi(self.x_min)))
 
     def cdf(self, x):
-        _check_domain(x)
-        xs = np.clip(np.asarray(x, dtype=float), self.x_min, self.x_max)
-        out = np.abs(self._phi(xs) - self._phi(self.x_min)) / self._mass
+        xs = _clip(_checked(x), self.x_min, self.x_max)
+        out = abs(self._phi(xs) - self._phi(self.x_min)) / self._mass
         return float(out) if np.isscalar(x) else out
 
     def _inverse(self, qs):
@@ -144,10 +146,18 @@ class TruncNormal:
         return _clamped_quantile(self, q)
 
 
-def _check_domain(x) -> None:
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < -1.0) or np.any(xs > 1.0):
+def _checked(x):
+    """x as a float (one round's query) or an array, refused outside [-1, 1]; NaN passes."""
+    scalar = isinstance(x, float)
+    xs = x if scalar else np.asarray(x, dtype=float)
+    if abs(xs) > 1.0 if scalar else np.any(np.abs(xs) > 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
+    return xs
+
+
+def _clip(x, lo: float, hi: float):
+    # np.clip without its per-call cost on a float; a NaN fails both tests and stays
+    return (lo if x < lo else hi if x > hi else x) if isinstance(x, float) else np.clip(x, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -174,6 +184,14 @@ class Cohort:
     def true_min(self) -> float:
         return float(self.values.min())
 
+    @functools.cached_property
+    def _sorted(self) -> np.ndarray:
+        return np.sort(self.values)
+
+    def count_at_or_below(self, tau: float) -> int:
+        """Users with value <= tau, by binary search in a sorted copy made once."""
+        return int(np.searchsorted(self._sorted, tau, side="right"))
+
     def negated(self) -> "Cohort":
         return Cohort(-self.values, self.setting)
 
@@ -195,6 +213,29 @@ def iid_cohort(model, n: int, rng) -> Cohort:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return Cohort(model.quantile(rng.random(n)), "iid")
+
+
+class IidCounts:
+    """Counts of n iid draws from ``model`` at the points asked, drawn from ``rng``.
+
+    Known at first: (-1, F = 0, k = 0) and (1, F = 1, k = n).  A new tau between
+    known a < tau < b gets k_a + Binom(k_b - k_a, (F(tau) - F(a)) / (F(b) - F(a))),
+    the exact conditional law of the multinomial counts; a known tau draws nothing.
+    """
+
+    def __init__(self, model, n: int, rng):
+        self._model, self.n, self._rng = model, n, rng
+        self._taus, self._known = [-1.0, 1.0], {-1.0: (0.0, 0), 1.0: (1.0, n)}  # tau: (F, k)
+
+    def count_at_or_below(self, tau: float) -> int:
+        if tau not in self._known:
+            f = self._model.cdf(tau)  # raises outside [-1, 1]
+            i = bisect_left(self._taus, tau)
+            (fa, ka), (fb, kb) = self._known[self._taus[i - 1]], self._known[self._taus[i]]
+            p = 0.0 if fb == fa else min(max((f - fa) / (fb - fa), 0.0), 1.0)
+            self._known[tau] = (f, ka + int(self._rng.binomial(kb - ka, p)))
+            self._taus.insert(i, tau)
+        return self._known[tau][1]
 
 
 def fatness_constant(model) -> tuple[float, float]:

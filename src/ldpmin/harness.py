@@ -11,8 +11,9 @@ the bisection grid.
 Repetition streams are derived by counter-based splitting: the generator
 for one repetition is keyed on (seed, mechanism, N, epsilon, x_min, rep)
 values, never on loop indices, so cells are independent of iteration order
-and can run in parallel.  In the i.i.d. setting a repetition's stream is
-consumed cohort-first, then protocol.
+and can run in parallel.  In the i.i.d. setting a search's stream gives each
+round's count (``IidCounts``), then its answers; only the Laplace baseline
+materializes a cohort, from its stream before the noise.
 
 ``ModelTemplate`` and ``ExperimentSpec`` hold every default of a sweep;
 ``parse_experiment_config`` maps each config key to one of their fields.
@@ -25,7 +26,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .datagen import BetaScaled, TruncNormal, fixed_cohort, iid_cohort
+from .datagen import BetaScaled, IidCounts, TruncNormal, fixed_cohort, iid_cohort
 from .params import choose_params
 from .protocol import ProtocolConfig, baseline_min, run_nonprivate_min, run_private_min
 
@@ -162,8 +163,8 @@ def _errors_for_placement(spec: ExperimentSpec, mechanism: str, config: Protocol
     errs = np.empty(spec.reps)
     for rep in range(spec.reps):
         rng = rep_rng(spec.seed, mechanism, config.n, config.epsilon, x_min, rep)
-        if not fixed:
-            cohort = iid_cohort(model, config.n, rng)
+        if not fixed:  # only the baseline reads values; a search needs just counts
+            cohort = (iid_cohort if mechanism == MECH_LAPLACE else IidCounts)(model, config.n, rng)
         if mechanism == MECH_BINARY_SEARCH:
             estimate = run_private_min(cohort, config, rng).estimate
         elif mechanism == MECH_LAPLACE:

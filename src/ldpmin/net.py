@@ -64,6 +64,13 @@ def format_real(x: float) -> str:
     return repr(float(x))
 
 
+def check_timeout(seconds: float) -> float:
+    """``seconds`` if in (0, 1e9]; past about 9.2e9 a socket timeout overflows time_t."""
+    if not (isinstance(seconds, (int, float)) and 0 < seconds <= 1e9):
+        raise ValueError(f"a timeout must be a number of seconds in (0, 1e9], got {seconds!r}")
+    return seconds
+
+
 def read_line(conn: socket.socket, pending: bytes, deadline: float) -> tuple[str, bytes]:
     """Next line from ``conn`` by ``deadline``, and the bytes received past it.
 
@@ -117,7 +124,7 @@ class MinServer:
             )
         self.config = config
         self.expected_clients = expected_clients
-        self.round_timeout = round_timeout
+        self.round_timeout = check_timeout(round_timeout)
         self.wire_log: list[tuple[int, str]] = []
         self._clients: list[_Client] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -210,11 +217,12 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int,
     """Participate as one user holding ``x``; returns the final estimate.
 
     The datum never leaves the process: every answer is sanitized locally
-    before transmission.  ``x`` is validated before any connection is made.
+    before transmission.  ``x`` and ``timeout`` are checked before connecting.
     Replaying with the same seed reproduces the exact response sequence.
     """
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"value must lie in [-1, 1], got {x!r}")
+    check_timeout(timeout)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     with socket.create_connection(connect_address, timeout=timeout) as conn:

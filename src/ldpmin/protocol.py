@@ -13,11 +13,13 @@ The noise-free search is the same walk at eps = inf and gamma = 1/(2N):
 phi is then the plain fraction count/N, which reaches 1/(2N) exactly when
 at least one user sits at or below tau.
 
-A simulated run draws each round's answer sum from its exact law, two
-binomial draws from one stream (users at or below tau first), which makes
-transcripts replayable from (cohort, config, seed).  A deployment where each
-user owns an independent stream (one uniform per sanitized bit) is simulated
-by passing ``user_rngs``; the estimator distribution is identical either way.
+A simulated run reads each round's count at tau from a count source (``n``
+and ``count_at_or_below``: a cohort, or ``datagen.IidCounts``, which draws an
+iid cohort's counts from the run's stream), then draws the answer sum as two
+binomials from that stream (users at or below tau first), so transcripts
+replay from (counts, config, seed).  Passing a cohort and ``user_rngs``
+simulates one independent stream per user instead (one uniform per
+sanitized bit); the estimator distribution is identical either way.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class ProtocolConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        self.round_budget  # raises on a per-round budget too small to debias
+        if math.isinf(phi_correction(self.round_budget) * self.n):  # so phi * sum_z is finite
+            raise ValueError(f"epsilon/depth is too small for n = {self.n}: phi overflows")
 
     @property
     def budget(self) -> PrivacyBudget:
@@ -158,44 +161,44 @@ def bisect(config: ProtocolConfig, round_sum) -> Transcript:
                       degenerate_gamma=config.gamma > max_phi(config))
 
 
-def run_nonprivate_min(cohort: Cohort, depth: int) -> Transcript:
-    """Noise-free bisection; deterministic, error at most 2^-depth.
+def run_nonprivate_min(counts, depth: int) -> Transcript:
+    """Noise-free bisection on a count source; error at most 2^-depth.
 
     The walk at eps = inf and gamma = 1/(2N): the estimate count/N reaches
     gamma exactly when at least one user sits at or below tau.
     """
-    values, n = cohort.values, cohort.n
+    n = counts.n
     config = ProtocolConfig(epsilon=math.inf, depth=depth, gamma=1.0 / (2 * n), n=n)
-    return bisect(config, lambda t, tau: 2 * int(np.count_nonzero(values <= tau)) - n)
+    return bisect(config, lambda t, tau: 2 * counts.count_at_or_below(tau) - n)
 
 
-def run_private_min(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rngs=None) -> Transcript:
-    """Sanitized bisection under an even eps/L split across rounds.
+def run_private_min(counts, config: ProtocolConfig, rng=None, *, user_rngs=None) -> Transcript:
+    """Sanitized bisection on ``counts`` under an even eps/L split across rounds.
 
-    Pass either ``rng`` (one shared stream, two binomial draws per round,
-    the users at or below tau first) or ``user_rngs`` (one independent
-    stream per user, as a networked deployment would have).
+    ``counts`` is a count source (``n``, ``count_at_or_below(tau)``).  Pass
+    either ``rng`` (one shared stream: the source's draws at tau, if any,
+    then two binomials, users at or below tau first) or ``user_rngs`` (one
+    stream per user of a :class:`Cohort`, as a networked deployment has).
     """
-    if cohort.n != config.n:
-        raise ValueError(f"cohort size {cohort.n} != configured n {config.n}")
+    n = config.n
+    if counts.n != n:
+        raise ValueError(f"cohort size {counts.n} != configured n {n}")
     if (rng is None) == (user_rngs is None):
         raise ValueError("pass exactly one of rng or user_rngs")
-    if user_rngs is not None and len(user_rngs) != config.n:
-        raise ValueError(f"need {config.n} user streams, got {len(user_rngs)}")
+    if user_rngs is not None and (not isinstance(counts, Cohort) or len(user_rngs) != n):
+        raise ValueError(f"user_rngs need a cohort's values and {n} streams")
 
-    values = cohort.values
-    n = config.n
     budget = config.round_budget
     if user_rngs is not None:
         def round_sum(t, tau):
-            return sum(user_respond(x, tau, budget, g) for x, g in zip(values, user_rngs))
+            return sum(user_respond(x, tau, budget, g) for x, g in zip(counts.values, user_rngs))
     else:
         p_keep = rr_keep_probability(budget)
 
         def round_sum(t, tau):
             # respond_round's sum in law: of k raw +1s each is kept w.p. p_keep,
             # of n - k raw -1s each is flipped to +1 w.p. 1 - p_keep
-            k = int(np.count_nonzero(values <= tau))
+            k = counts.count_at_or_below(tau)
             return 2 * int(rng.binomial(k, p_keep) + rng.binomial(n - k, 1.0 - p_keep)) - n
     return bisect(config, round_sum)
 

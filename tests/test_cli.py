@@ -96,6 +96,16 @@ class TestSimulate:
         assert code == 3
         assert out == "" and err.startswith("error:")
 
+    def test_phi_that_would_overflow_exits_3(self, capsys):
+        # eps/L = 2.2e-308 still debiases, but coth(eps/2) * sum_z overflows
+        # past n = 1, so the run used to print "phi": "inf"
+        code, out, err = run_main(capsys, [
+            "simulate", "--data", "0.5,0.1,-0.2", "--epsilon", "2.2e-308", "--depth", "1",
+            "--gamma", "0.3", "--seed", "1",
+        ])
+        assert code == 3
+        assert out == "" and err.startswith("error:") and "overflows" in err
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "transcript.jsonl"
         code, out, _ = run_main(capsys, [

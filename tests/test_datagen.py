@@ -8,6 +8,7 @@ from scipy import special, stats
 from ldpmin.datagen import (
     BetaScaled,
     Cohort,
+    IidCounts,
     TruncNormal,
     fatness_constant,
     fixed_cohort,
@@ -58,6 +59,26 @@ class TestCdf:
     def test_truncnorm_midpoint_symmetry(self):
         model = TruncNormal(0.0, 0.7, -1.0, 1.0)
         assert model.cdf(0.0) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("model", PARAMETRIC_MODELS + FAR_TAIL_MODELS, ids=repr)
+    def test_float_path_matches_array_path_bit_for_bit(self, model):
+        # one round's query is a float and takes comparisons instead of numpy
+        # calls; its result must be the array path's, NaN included (np.clip
+        # keeps a NaN where max(0.0, nan) would return 0.0)
+        grid = [*np.linspace(-1.0, 1.0, 201), -1.0, 1.0, -0.0, model.x_min, model.x_max,
+                np.nextafter(model.x_min, -2.0), np.nextafter(model.x_max, 2.0), math.nan]
+        for x in [x for x in grid if not abs(x) > 1.0]:  # keeps the NaN
+            one, many = model.cdf(float(x)), model.cdf(np.array([x]))[0]
+            assert type(one) is float
+            assert one == many or (math.isnan(one) and math.isnan(many)), x
+
+    @pytest.mark.parametrize("model", PARAMETRIC_MODELS, ids=repr)
+    def test_float_outside_domain_rejected(self, model):
+        for x in (1.5, -1.0000000000000002, 1.0000000000000002, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must lie in"):
+                model.cdf(x)
+            with pytest.raises(ValueError, match="must lie in"):
+                model.cdf(np.array([0.0, x]))
 
 
 class TestQuantileInversion:
@@ -257,3 +278,52 @@ class TestCohort:
         cohort = Cohort(np.array([-0.25, 1.0]), "iid")
         assert cohort.negated().negated().values.tolist() == cohort.values.tolist()
 
+    @pytest.mark.parametrize("values", [
+        [-1.0, -0.5, -0.5, 0.0, 0.25, 0.25, 0.25, 1.0],   # sorted, with ties
+        [0.25, -0.5, 1.0, 0.25, -1.0, 0.0, -0.5, 0.25],   # the same, unsorted
+        [0.3, 0.3, 0.3],
+        [-0.0, 0.0, -1.0],
+    ], ids=["sorted", "unsorted", "all-tied", "signed-zeros"])
+    def test_count_at_or_below_is_the_scan(self, values):
+        cohort = Cohort(np.array(values), "iid")
+        taus = [*values, -1.0, 1.0, -0.75, 0.1, 0.5, np.nextafter(0.25, 0.0),
+                np.nextafter(0.25, 1.0), -0.0]
+        for tau in taus:
+            k = cohort.count_at_or_below(tau)
+            assert type(k) is int
+            assert k == int(np.count_nonzero(cohort.values <= tau)), tau
+        assert cohort.values.tolist() == values  # the sorted copy is a copy
+
+
+class TestIidCounts:
+    MODEL = BetaScaled(2.0, 1.0, -0.6, 1.2)
+
+    def test_ends_are_known_and_drawn_counts_stay_monotone(self):
+        rng = make_rng(40)
+        counts = IidCounts(self.MODEL, 1000, rng)
+        state = rng.bit_generator.state
+        assert counts.count_at_or_below(-1.0) == 0 and counts.count_at_or_below(1.0) == 1000
+        assert rng.bit_generator.state == state  # the ends take no draw
+        taus = [0.0, -0.5, 0.5, 0.25, -0.75, 0.125]
+        ks = [counts.count_at_or_below(tau) for tau in taus]
+        state = rng.bit_generator.state
+        assert [counts.count_at_or_below(tau) for tau in taus] == ks  # known: no redraw
+        assert rng.bit_generator.state == state
+        order = sorted(zip(taus, ks))
+        assert all(a[1] <= b[1] for a, b in zip(order, order[1:]))
+        # below the support nobody sits, above it everybody does
+        assert counts.count_at_or_below(-0.7) == 0
+        assert counts.count_at_or_below(0.7) == 1000
+
+    def test_one_point_is_binomial_in_f(self):
+        # the first query's count is Binom(n, F(tau)) exactly: the chain must
+        # consume one binomial draw with those parameters
+        counts = IidCounts(self.MODEL, 4096, make_rng(41))
+        replay = make_rng(41)
+        assert counts.count_at_or_below(0.0) == replay.binomial(4096, self.MODEL.cdf(0.0))
+
+    def test_outside_domain_rejected(self):
+        counts = IidCounts(self.MODEL, 10, make_rng(42))
+        for tau in (1.5, -1.5):
+            with pytest.raises(ValueError, match="must lie in"):
+                counts.count_at_or_below(tau)

@@ -17,6 +17,7 @@ from ldpmin.harness import (
     run_experiment,
 )
 from ldpmin.params import choose_params
+from ldpmin.protocol import run_nonprivate_min, run_private_min
 
 UNIFORM = ModelTemplate(kind="uniform", delta=0.3)
 
@@ -127,6 +128,45 @@ class TestRunExperiment:
     def test_iid_setting_runs(self):
         cells = run_experiment(small_spec(setting="iid", n_grid=(64,), reps=4))
         assert len(cells) == 1 and cells[0].mean_abs_err >= 0.0
+
+    def test_only_the_baseline_materializes_iid_cohorts(self, monkeypatch):
+        # a search reads counts; only the Laplace repetitions need the values
+        import ldpmin.harness as harness
+
+        calls = []
+        real = harness.iid_cohort
+
+        def counted(model, n, rng):
+            calls.append(n)
+            return real(model, n, rng)
+
+        monkeypatch.setattr(harness, "iid_cohort", counted)
+        spec = small_spec(setting="iid", reps=3, mechanisms=(MECH_BINARY_SEARCH, MECH_LAPLACE))
+        cells = run_experiment(spec)
+        assert len(cells) == 4
+        laplace_reps = spec.reps * len(spec.xmin_grid)
+        assert sorted(calls) == sorted(spec.n_grid * laplace_reps)
+
+    def test_iid_search_consumes_the_chain_stream(self):
+        # each iid search repetition reads its rep_rng through the chain, so
+        # its error is recomputable from IidCounts on the same stream
+        from ldpmin.datagen import IidCounts
+
+        spec = small_spec(setting="iid", n_grid=(64,), reps=5,
+                          mechanisms=(MECH_BINARY_SEARCH, MECH_NONPRIVATE))
+        cells = run_experiment(spec)
+        for cell in cells:
+            config = choose_params(spec.param_mode, 64, 2.0)
+            errs = []
+            for rep in range(spec.reps):
+                rng = rep_rng(spec.seed, cell.mechanism, 64, 2.0, cell.x_min, rep)
+                counts = IidCounts(spec.model.place(cell.x_min), 64, rng)
+                if cell.mechanism == MECH_BINARY_SEARCH:
+                    t = run_private_min(counts, config, rng)
+                else:
+                    t = run_nonprivate_min(counts, config.depth)
+                errs.append(abs(t.estimate - cell.x_min))
+            assert cell.mean_abs_err == float(np.mean(errs))
 
     def test_depth_bound_fails_before_any_run(self, monkeypatch):
         # known_alpha:0.1 needs depth 55 at N = 2048; the N = 1024 cell

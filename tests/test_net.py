@@ -301,6 +301,20 @@ class TestFailurePaths:
         with pytest.raises(ValueError):
             MinServer(config, 2)
 
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, 0, 0.0, -1, 1e10, "5"])
+    def test_bad_timeout_refused_before_any_socket(self, monkeypatch, timeout):
+        # inf used to bind and then fail in settimeout with OverflowError
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.1, n=1)
+        with pytest.raises(ValueError, match="timeout"):
+            MinServer(config, 1, round_timeout=timeout)
+        with pytest.raises(ValueError, match="timeout"):
+            run_client(("127.0.0.1", 1), 0.5, 0, timeout=timeout)
+
 
 class TestBarrier:
     @pytest.mark.parametrize("line", [

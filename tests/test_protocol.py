@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldpmin.datagen import Cohort
-from ldpmin.mechanisms import RoundBudget, rr_keep_probability
+from ldpmin.mechanisms import RoundBudget, rr_keep_probability, unbiased_phi
 from ldpmin.protocol import (
     BRANCH_LEFT,
     BRANCH_RIGHT,
@@ -105,6 +105,21 @@ class TestBisect:
             ProtocolConfig(1.0, 0, 0.1, 1)
         with pytest.raises(ValueError, match="54"):
             run_nonprivate_min(fixed_cohort_of([-1.0]), MAX_DEPTH + 1)
+
+
+class TestConfig:
+    def test_phi_that_would_overflow_is_refused(self):
+        # phi_correction * sum_z must stay finite for every |sum_z| <= n
+        from ldpmin.mechanisms import phi_correction
+
+        with pytest.raises(ValueError, match="overflows"):
+            ProtocolConfig(2.2e-308, 1, 0.3, 3)
+        with pytest.raises(ValueError, match="overflows"):
+            ProtocolConfig(1e-300, 1, 0.3, 10**9)
+        edge = ProtocolConfig(2.2e-308, 1, 0.3, 1)
+        assert math.isfinite(phi_correction(edge.round_budget))
+        for sum_z in (-1, 1):
+            assert math.isfinite(unbiased_phi(sum_z, 1, edge.round_budget))
 
 
 class TestNonPrivate:
@@ -257,6 +272,42 @@ class TestPrivateMin:
             assert r.sum_z == 2 * plus - n
         assert rng.bit_generator.state == replay.bit_generator.state
 
+    @pytest.mark.parametrize("epsilon", [2.0, math.inf])
+    def test_chain_round_sum_replays_from_three_binomials(self, epsilon):
+        # an iid count source: each round's new tau first draws its count
+        # k_a + Binom(k_b - k_a, (F(tau) - F(a)) / (F(b) - F(a))) between its
+        # known neighbours, then the round's two answer binomials, all from
+        # the run's one stream, which the replay must leave in the same state
+        from bisect import bisect_left
+
+        from ldpmin.datagen import BetaScaled, IidCounts
+
+        model = BetaScaled(2.0, 1.0, -0.6, 1.2)
+        n, depth = 100_003, 12
+        config = ProtocolConfig(epsilon, depth, 0.05, n)
+        rng = make_rng(32)
+        t = run_private_min(IidCounts(model, n, rng), config, rng)
+        p_keep = rr_keep_probability(config.round_budget)
+        replay = make_rng(32)
+        known = [(-1.0, 0.0, 0), (1.0, 1.0, n)]  # (tau, F, k), sorted by tau
+        for r in t.rounds:
+            i = bisect_left(known, (r.tau,))
+            (_, fa, ka), (_, fb, kb) = known[i - 1], known[i]
+            f = model.cdf(r.tau)
+            k = ka + replay.binomial(kb - ka, min(max((f - fa) / (fb - fa), 0.0), 1.0))
+            known.insert(i, (r.tau, f, k))
+            plus = replay.binomial(k, p_keep) + replay.binomial(n - k, 1.0 - p_keep)
+            assert r.sum_z == 2 * plus - n
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_per_user_streams_need_a_cohort(self):
+        from ldpmin.datagen import BetaScaled, IidCounts
+
+        counts = IidCounts(BetaScaled(1.0, 1.0, -1.0, 2.0), 3, make_rng(0))
+        config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.1, n=3)
+        with pytest.raises(ValueError, match="cohort"):
+            run_private_min(counts, config, user_rngs=[make_rng(i) for i in range(3)])
+
     def test_degenerate_gamma_forces_all_right(self):
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=5.0, n=1)
         assert config.gamma > max_phi(config)
@@ -269,6 +320,80 @@ class TestPrivateMin:
         config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.5, n=4)
         t = run_private_min(fixed_cohort_of([0.0, 0.1, 0.2, 0.3]), config, make_rng(0))
         assert not t.degenerate_gamma
+
+
+def ks_critical(reps: int) -> float:
+    """Two-sample KS critical value at alpha = 0.001 for two samples of ``reps``."""
+    return 1.95 * math.sqrt(2.0 / reps)
+
+
+class TestIidChain:
+    """The chain against a materialized iid cohort: equal laws, fixed seeds.
+
+    Each KS statistic, chain estimates against cohort estimates (R = 1500
+    repetitions each), must stay below the alpha = 0.001 critical value
+    1.95 sqrt(2/R), a bound fixed before the tests were run.
+    """
+
+    REPS = 1500
+
+    @staticmethod
+    def estimates(model, config, seed, materialize, private=True):
+        from ldpmin.datagen import IidCounts, iid_cohort
+
+        rng = make_rng(seed)
+        out = []
+        for _ in range(TestIidChain.REPS):
+            counts = (iid_cohort if materialize else IidCounts)(model, config.n, rng)
+            t = (run_private_min(counts, config, rng) if private
+                 else run_nonprivate_min(counts, config.depth))
+            out.append(t.estimate)
+        return out
+
+    @pytest.mark.parametrize("model,n,param_mode", [
+        ("beta", 4096, "lower_alpha"),
+        ("truncnorm", 2048, "unknown_alpha"),
+        ("uniform", 1024, "lower_alpha"),
+    ])
+    def test_chain_matches_materialized_cohort(self, model, n, param_mode):
+        from scipy.stats import ks_2samp
+
+        from ldpmin.datagen import BetaScaled, TruncNormal
+        from ldpmin.params import choose_params
+
+        model = {"beta": BetaScaled(2.0, 1.0, -1.0, 0.3),
+                 "truncnorm": TruncNormal(0.1, 0.3, -0.8, 0.6),
+                 "uniform": BetaScaled(1.0, 1.0, -0.5, 0.3)}[model]
+        config = choose_params(param_mode, n, 1.0)
+        chain = self.estimates(model, config, 80, materialize=False)
+        cohort = self.estimates(model, config, 81, materialize=True)
+        assert ks_2samp(chain, cohort).statistic < ks_critical(self.REPS)
+
+    def test_nonprivate_chain_matches_materialized_cohort(self):
+        # deep enough that the last rounds hit sparse counts near the minimum
+        from scipy.stats import ks_2samp
+
+        from ldpmin.datagen import BetaScaled
+
+        model = BetaScaled(2.0, 1.0, -0.7, 0.3)
+        config = ProtocolConfig(math.inf, 14, 1.0 / 512, 256)
+        chain = self.estimates(model, config, 82, materialize=False, private=False)
+        cohort = self.estimates(model, config, 83, materialize=True, private=False)
+        assert ks_2samp(chain, cohort).statistic < ks_critical(self.REPS)
+
+    def test_cost_does_not_grow_with_n(self):
+        import time
+
+        from ldpmin.datagen import BetaScaled, IidCounts
+        from ldpmin.params import choose_params
+
+        model = BetaScaled(2.0, 1.0, -1.0, 0.3)
+        config = choose_params("lower_alpha", 2**30, 1.0)
+        rng = make_rng(84)
+        start = time.perf_counter()
+        for _ in range(200):
+            run_private_min(IidCounts(model, 2**30, rng), config, rng)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestPrivacyComposition:
