@@ -225,17 +225,18 @@ class IidCounts:
 
     def __init__(self, model, n: int, rng):
         self._model, self.n, self._rng = model, n, rng
-        self._taus, self._known = [-1.0, 1.0], {-1.0: (0.0, 0), 1.0: (1.0, n)}  # tau: (F, k)
+        self._known = [(-1.0, 0.0, 0), (1.0, 1.0, n)]  # (tau, F, k), sorted by tau
 
     def count_at_or_below(self, tau: float) -> int:
-        if tau not in self._known:
-            f = self._model.cdf(tau)  # raises outside [-1, 1]
-            i = bisect_left(self._taus, tau)
-            (fa, ka), (fb, kb) = self._known[self._taus[i - 1]], self._known[self._taus[i]]
-            p = 0.0 if fb == fa else min(max((f - fa) / (fb - fa), 0.0), 1.0)
-            self._known[tau] = (f, ka + int(self._rng.binomial(kb - ka, p)))
-            self._taus.insert(i, tau)
-        return self._known[tau][1]
+        i = bisect_left(self._known, (tau,))
+        if i < len(self._known) and self._known[i][0] == tau:
+            return self._known[i][2]
+        f = self._model.cdf(tau)  # raises outside [-1, 1]
+        (_, fa, ka), (_, fb, kb) = self._known[i - 1], self._known[i]
+        p = 0.0 if fb == fa else min(max((f - fa) / (fb - fa), 0.0), 1.0)
+        k = ka + int(self._rng.binomial(kb - ka, p))
+        self._known.insert(i, (tau, f, k))
+        return k
 
 
 def fatness_constant(model) -> tuple[float, float]:
