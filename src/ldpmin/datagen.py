@@ -12,7 +12,8 @@ Cohorts come in two flavours:
   empirical CDF of the cohort interpolates F exactly;
 * iid: users hold independent draws from F.  A search reads only counts
   (``count_at_or_below``), and :class:`IidCounts` draws an iid cohort's counts
-  from their exact law without its values, at a cost that does not grow with N.
+  from their exact law without its values, at a cost that does not grow with N;
+  :func:`iid_cohort` evaluates the quantile only at the levels a reader reads.
 
 Quantiles of both models are closed forms (the inverse incomplete
 beta function; the normal quantile on the side of the mean where the
@@ -160,40 +161,58 @@ def _clip(x, lo: float, hi: float):
     return (lo if x < lo else hi if x > hi else x) if isinstance(x, float) else np.clip(x, lo, hi)
 
 
-@dataclass(frozen=True)
 class Cohort:
     """N user values in [-1, 1] and the setting they were drawn in."""
 
-    values: np.ndarray
-    setting: str  # "fixed" or "iid"
+    bounds = (-1.0, 1.0)  # (lo, hi) with lo <= every value <= hi
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, values, setting: str):
+        v = np.asarray(values, dtype=float)
         if v.size == 0:
             raise ValueError("cohort must contain at least one value")
-        if v.min() < -1.0 or v.max() > 1.0:
+        if not np.all(np.abs(v) <= 1.0):  # false for a NaN, unlike "below -1 or above 1"
             raise ValueError("cohort values must lie in [-1, 1]")
-        if self.setting not in ("fixed", "iid"):
-            raise ValueError(f"setting must be 'fixed' or 'iid', got {self.setting!r}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
+        if setting not in ("fixed", "iid"):
+            raise ValueError(f"setting must be 'fixed' or 'iid', got {setting!r}")
+        self.values, self.setting, self.n, self._counts = v, setting, int(v.size), {}
 
     def true_min(self) -> float:
         return float(self.values.min())
+
+    def values_at(self, idx: np.ndarray) -> np.ndarray:
+        return self.values[idx]
 
     @functools.cached_property
     def _sorted(self) -> np.ndarray:
         return np.sort(self.values)
 
     def count_at_or_below(self, tau: float) -> int:
-        """Users with value <= tau, by binary search in a sorted copy made once."""
-        return int(np.searchsorted(self._sorted, tau, side="right"))
+        """Users with value <= tau, by binary search in a sorted copy, once per tau."""
+        if tau not in self._counts:
+            self._counts[tau] = int(np.searchsorted(self._sorted, tau, side="right"))
+        return self._counts[tau]
 
     def negated(self) -> "Cohort":
         return Cohort(-self.values, self.setting)
+
+
+class DeferredCohort(Cohort):
+    """An iid cohort kept as its users' uniform levels: value i is
+    ``model.quantile(levels[i])``, evaluated only for the users read.  The
+    quantile is clamped to the model's support, so that is the ``bounds``.
+    """
+
+    def __init__(self, model, levels: np.ndarray):
+        _check_levels(levels)
+        self.model, self.levels, self.setting = model, levels, "iid"
+        self.n, self.bounds, self._counts = int(levels.size), (model.x_min, model.x_max), {}
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self.model.quantile(self.levels)
+
+    def values_at(self, idx: np.ndarray) -> np.ndarray:
+        return self.model.quantile(self.levels[idx])
 
 
 def fixed_cohort(model, n: int) -> Cohort:
@@ -208,11 +227,11 @@ def fixed_cohort(model, n: int) -> Cohort:
     return Cohort(model.quantile(levels), "fixed")
 
 
-def iid_cohort(model, n: int, rng) -> Cohort:
-    """n independent inverse-CDF draws, one uniform variate per value."""
+def iid_cohort(model, n: int, rng) -> DeferredCohort:
+    """n independent inverse-CDF draws: one uniform per value now, its quantile when read."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Cohort(model.quantile(rng.random(n)), "iid")
+    return DeferredCohort(model, rng.random(n))
 
 
 class IidCounts:

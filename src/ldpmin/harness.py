@@ -12,8 +12,8 @@ Repetition streams are derived by counter-based splitting: the generator
 for one repetition is keyed on (seed, mechanism, N, epsilon, x_min, rep)
 values, never on loop indices, so cells are independent of iteration order
 and can run in parallel.  In the i.i.d. setting a search's stream gives each
-round's count (``IidCounts``), then its answers; only the Laplace baseline
-materializes a cohort, from its stream before the noise.
+round's count (``IidCounts``), then its answers; a baseline's gives the users'
+uniforms, then the noise, and a value is read only where the minimum can fall.
 
 ``ModelTemplate`` and ``ExperimentSpec`` hold every default of a sweep;
 ``parse_experiment_config`` maps each config key to one of their fields.

@@ -1,4 +1,4 @@
-"""Local-privacy primitives: binary randomized response and a Laplace sanitizer.
+"""Local-privacy primitives: binary randomized response and Laplace noise.
 
 Randomized response reports a {-1,+1} bit truthfully with probability
 e^eps / (1 + e^eps) and flipped otherwise, so the likelihood ratio between
@@ -74,11 +74,6 @@ def rr_keep_probability(budget: RoundBudget) -> float:
     return 1.0 / (1.0 + math.exp(-budget.epsilon_round))
 
 
-def rr_flip_probability(budget: RoundBudget) -> float:
-    """Probability 1/(1+e^eps) that the reported bit is negated."""
-    return 1.0 / (1.0 + math.exp(budget.epsilon_round))
-
-
 def randomized_response(bit: int, budget: RoundBudget, rng) -> int:
     """Sanitize one {-1,+1} bit, consuming exactly one uniform variate."""
     if bit not in (-1, 1):
@@ -133,31 +128,10 @@ def laplace_scale(budget: PrivacyBudget) -> float:
     return 2.0 / budget.epsilon
 
 
-def _laplace_from_uniform(u: float, scale: float) -> float:
-    # Inverse CDF from a single uniform; keeps runs replayable from a seed.
-    v = u - 0.5
-    w = 1.0 - 2.0 * abs(v)
-    if w <= 0.0:  # u == 0.0 happens with probability 2^-53; avoid log(0)
-        w = 5e-324
-    noise = -scale * math.log(w)
-    return noise if v >= 0.0 else -noise
-
-
-def laplace_sanitize(x: float, budget: PrivacyBudget, rng) -> float:
-    """Report x + Laplace(0, 2/eps) noise; consumes one uniform variate.
-
-    The output is deliberately unclamped, even though the input lives in
-    [-1, 1].
-    """
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [-1, 1], got {x!r}")
-    return x + _laplace_from_uniform(rng.random(), laplace_scale(budget))
-
-
 def laplace_noise_many(n: int, budget: PrivacyBudget, rng) -> np.ndarray:
-    """n Laplace(0, 2/eps) draws, one uniform each, in index order."""
+    """n Laplace(0, 2/eps) draws by inverse CDF, one uniform each, in index order."""
     u = rng.random(n)
     v = u - 0.5
     w = 1.0 - 2.0 * np.abs(v)
-    w[w <= 0.0] = 5e-324
+    w[w <= 0.0] = 5e-324  # u == 0.0 happens with probability 2^-53; avoid log(0)
     return np.where(v >= 0.0, -1.0, 1.0) * (laplace_scale(budget) * np.log(w))

@@ -24,6 +24,7 @@ sanitized bit); the estimator distribution is identical either way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,13 +78,24 @@ class ProtocolConfig:
         if math.isinf(phi_correction(self.round_budget) * self.n):  # so phi * sum_z is finite
             raise ValueError(f"epsilon/depth is too small for n = {self.n}: phi overflows")
 
-    @property
+    @functools.cached_property  # these four are derived once per config
     def budget(self) -> PrivacyBudget:
         return PrivacyBudget(self.epsilon)
 
-    @property
+    @functools.cached_property
     def round_budget(self) -> RoundBudget:
         return self.budget.split(self.depth)
+
+    @functools.cached_property
+    def p_keep(self) -> float:  # randomized response's, at the round budget
+        return rr_keep_probability(self.round_budget)
+
+    @functools.cached_property
+    def degenerate_gamma(self) -> bool:
+        """gamma lies beyond phi at all answers +1, the estimate's largest value,
+        which forces every branch right: legal (tiny cohorts do it), worth marking.
+        """
+        return self.gamma > 0.5 * phi_correction(self.round_budget) + 0.5
 
 
 @dataclass(frozen=True)
@@ -99,12 +111,7 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Full audit trail of one run plus the final estimate.
-
-    ``degenerate_gamma`` flags a threshold beyond the largest value the
-    debiased estimate can reach, which forces every branch to the right;
-    such runs are legal (tiny cohorts can produce them) but worth marking.
-    """
+    """Full audit trail of one run, the final estimate and the config's ``degenerate_gamma``."""
 
     config: ProtocolConfig
     rounds: tuple[RoundRecord, ...]
@@ -125,11 +132,6 @@ def respond_round(values: np.ndarray, tau: float, budget: RoundBudget, rng) -> n
     """All N sanitized answers for one round, drawn in user-index order."""
     raw = np.where(tau - values >= 0.0, 1, -1)
     return rr_respond_many(raw, budget, rng)
-
-
-def max_phi(config: ProtocolConfig) -> float:
-    """Largest value the debiased estimate can attain (all answers +1)."""
-    return 0.5 * phi_correction(config.round_budget) + 0.5
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -158,7 +160,7 @@ def bisect(config: ProtocolConfig, round_sum) -> Transcript:
             branch, lo = BRANCH_RIGHT, tau
         rounds.append(RoundRecord(t, tau, sum_z, phi, branch))
     return Transcript(config, tuple(rounds), _midpoint(lo, hi),
-                      degenerate_gamma=config.gamma > max_phi(config))
+                      degenerate_gamma=config.degenerate_gamma)
 
 
 def run_nonprivate_min(counts, depth: int) -> Transcript:
@@ -188,17 +190,15 @@ def run_private_min(counts, config: ProtocolConfig, rng=None, *, user_rngs=None)
     if user_rngs is not None and (not isinstance(counts, Cohort) or len(user_rngs) != n):
         raise ValueError(f"user_rngs need a cohort's values and {n} streams")
 
-    budget = config.round_budget
     if user_rngs is not None:
         def round_sum(t, tau):
+            budget = config.round_budget
             return sum(user_respond(x, tau, budget, g) for x, g in zip(counts.values, user_rngs))
     else:
-        p_keep = rr_keep_probability(budget)
-
         def round_sum(t, tau):
             # respond_round's sum in law: of k raw +1s each is kept w.p. p_keep,
             # of n - k raw -1s each is flipped to +1 w.p. 1 - p_keep
-            k = counts.count_at_or_below(tau)
+            k, p_keep = counts.count_at_or_below(tau), config.p_keep
             return 2 * int(rng.binomial(k, p_keep) + rng.binomial(n - k, 1.0 - p_keep)) - n
     return bisect(config, round_sum)
 
@@ -225,6 +225,13 @@ def baseline_min(cohort: Cohort, budget: PrivacyBudget, rng) -> float:
     The whole budget is spent on a single release per user.  The output is
     unclamped and, since the minimum of N noise draws grows like
     -(2/eps) ln N, typically falls far outside the data domain.
+
+    Only users who can hold the minimum have their value read: with every
+    value in ``cohort.bounds`` = [lo, hi] and rounding monotone, user i reports
+    at least fl(lo + L_i) and the minimum is at most min_j fl(hi + L_j).
     """
-    noisy = cohort.values + laplace_noise_many(cohort.n, budget, rng)
-    return float(noisy.min())
+    noise = laplace_noise_many(cohort.n, budget, rng)
+    lo, hi = cohort.bounds
+    # "not above": a NaN bound (inf scale times log 1) keeps all, as the full min is NaN
+    keep = np.flatnonzero(~(lo + noise > (hi + noise).min()))
+    return float((cohort.values_at(keep) + noise[keep]).min())

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from ldpmin.mechanisms import PrivacyBudget, RoundBudget, laplace_scale
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -18,6 +22,21 @@ class ConstantRng:
         return np.full(size, self.value)
 
 
+class CountingModel:
+    """Wraps a data model; counts the levels its quantile is evaluated at."""
+
+    def __init__(self, model):
+        self.model = model
+        self.levels = 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def quantile(self, q):
+        self.levels += int(np.size(q))
+        return self.model.quantile(q)
+
+
 class CountingRng:
     """Wraps a real stream; counts uniforms consumed and binomial draws taken."""
 
@@ -33,6 +52,35 @@ class CountingRng:
     def binomial(self, n, p):
         self.binomials += 1
         return self.inner.binomial(n, p)
+
+
+# Scalar references for the vectorized mechanisms: the tests compare
+# ``rr_keep_probability`` and ``laplace_noise_many`` against these.
+
+def rr_flip_probability(budget: RoundBudget) -> float:
+    """Probability 1/(1+e^eps) that the reported bit is negated."""
+    return 1.0 / (1.0 + math.exp(budget.epsilon_round))
+
+
+def _laplace_from_uniform(u: float, scale: float) -> float:
+    # Inverse CDF from a single uniform; keeps runs replayable from a seed.
+    v = u - 0.5
+    w = 1.0 - 2.0 * abs(v)
+    if w <= 0.0:  # u == 0.0 happens with probability 2^-53; avoid log(0)
+        w = 5e-324
+    noise = -scale * math.log(w)
+    return noise if v >= 0.0 else -noise
+
+
+def laplace_sanitize(x: float, budget: PrivacyBudget, rng) -> float:
+    """Report x + Laplace(0, 2/eps) noise; consumes one uniform variate.
+
+    The output is deliberately unclamped, even though the input lives in
+    [-1, 1].
+    """
+    if not -1.0 <= x <= 1.0:
+        raise ValueError(f"x must lie in [-1, 1], got {x!r}")
+    return x + _laplace_from_uniform(rng.random(), laplace_scale(budget))
 
 
 @pytest.fixture

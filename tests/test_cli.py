@@ -80,6 +80,15 @@ class TestSimulate:
         ])
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("data", ["nan,0.5", "1.5,0.5"])
+    def test_data_outside_the_domain_is_usage_error(self, capsys, data):
+        code, out, err = run_main(capsys, [
+            "simulate", "--data", data, "--epsilon", "inf", "--depth", "3",
+            "--gamma", "0.25", "--seed", "1",
+        ])
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "[-1, 1]" in err
+
     def test_depth_past_float_resolution_rejected(self, capsys):
         code, out, err = run_main(capsys, [
             "simulate", "--data", "-1", "--epsilon", "1", "--depth", "55", "--gamma", "0.1",

@@ -232,6 +232,27 @@ class TestIidCohort:
         iid_cohort(BetaScaled(1.0, 1.0, -1.0, 2.0), 37, rng)
         assert rng.consumed == 37
 
+    @pytest.mark.parametrize("model", [BetaScaled(2.0, 1.0, -1.0, 0.3),
+                                       TruncNormal(0.0, 0.3, -0.4, 0.2)], ids=repr)
+    def test_values_are_read_when_asked(self, model):
+        # the quantile waits for a reader, and gives the bits of evaluating
+        # it on all n uniforms at once
+        from conftest import CountingModel
+
+        n = 1000
+        expected = model.quantile(make_rng(407).random(n))
+        counting = CountingModel(model)
+        cohort = iid_cohort(counting, n, make_rng(407))
+        assert counting.levels == 0 and cohort.n == n
+        idx = np.array([0, 17, 17, 999])
+        assert cohort.values_at(idx).tobytes() == expected[idx].tobytes()
+        assert counting.levels == idx.size
+        assert cohort.values.tobytes() == expected.tobytes()
+        assert cohort.values is cohort.values  # evaluated once
+        assert counting.levels == idx.size + n
+        assert cohort.bounds == (model.x_min, model.x_max)
+        assert cohort.true_min() == expected.min()
+
 
 class TestFatness:
     def test_uniform_constant(self):
@@ -273,6 +294,13 @@ class TestCohort:
             Cohort(np.array([1.5]), "fixed")
         with pytest.raises(ValueError):
             Cohort(np.array([0.0]), "sometimes")
+
+    @pytest.mark.parametrize("values", [[math.nan, 0.5], [0.5, math.nan], [math.nan]])
+    def test_nan_value_rejected(self, values):
+        # a NaN fails both range tests, so a check written as "below -1 or
+        # above 1" lets it through
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            Cohort(np.array(values), "fixed")
 
     def test_negated_round_trip(self):
         cohort = Cohort(np.array([-0.25, 1.0]), "iid")

@@ -7,17 +7,15 @@ from hypothesis import given, strategies as st
 from ldpmin.mechanisms import (
     PrivacyBudget,
     RoundBudget,
-    laplace_sanitize,
     laplace_scale,
     phi_correction,
     randomized_response,
-    rr_flip_probability,
     rr_keep_probability,
     rr_respond_many,
     unbiased_phi,
 )
 
-from conftest import ConstantRng, CountingRng, make_rng
+from conftest import ConstantRng, CountingRng, laplace_sanitize, make_rng, rr_flip_probability
 
 
 class TestBudgets:

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ldpmin.datagen import Cohort
-from ldpmin.mechanisms import RoundBudget, rr_keep_probability, unbiased_phi
+from ldpmin.datagen import BetaScaled, Cohort, TruncNormal, iid_cohort
+from ldpmin.mechanisms import (
+    PrivacyBudget,
+    RoundBudget,
+    laplace_noise_many,
+    rr_keep_probability,
+    unbiased_phi,
+)
 from ldpmin.protocol import (
     BRANCH_LEFT,
     BRANCH_RIGHT,
@@ -14,7 +20,6 @@ from ldpmin.protocol import (
     ProtocolConfig,
     baseline_min,
     bisect,
-    max_phi,
     respond_round,
     run_nonprivate_min,
     run_private_max,
@@ -23,7 +28,7 @@ from ldpmin.protocol import (
     user_respond,
 )
 
-from conftest import ConstantRng, CountingRng, make_rng
+from conftest import ConstantRng, CountingRng, make_rng, rr_flip_probability
 
 cohort_values = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=60
@@ -120,6 +125,16 @@ class TestConfig:
         assert math.isfinite(phi_correction(edge.round_budget))
         for sum_z in (-1, 1):
             assert math.isfinite(unbiased_phi(sum_z, 1, edge.round_budget))
+
+    def test_derived_values_are_computed_once(self):
+        config = ProtocolConfig(3.0, 6, 0.4, 50)
+        assert config.budget is config.budget
+        assert config.round_budget is config.round_budget
+        assert config.budget == PrivacyBudget(3.0)
+        assert config.round_budget == PrivacyBudget(3.0).split(6)
+        assert config.p_keep == rr_keep_probability(config.round_budget)
+        assert not config.degenerate_gamma
+        assert ProtocolConfig(math.inf, 6, 1.5, 1).degenerate_gamma
 
 
 class TestNonPrivate:
@@ -310,7 +325,7 @@ class TestPrivateMin:
 
     def test_degenerate_gamma_forces_all_right(self):
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=5.0, n=1)
-        assert config.gamma > max_phi(config)
+        assert config.gamma > unbiased_phi(1, 1, config.round_budget)  # phi's largest value
         t = run_private_min(fixed_cohort_of([-1.0]), config, make_rng(0))
         assert t.degenerate_gamma
         assert t.rounds[0].branch == BRANCH_RIGHT
@@ -400,8 +415,6 @@ class TestPrivacyComposition:
     def test_per_round_ratio_and_product(self):
         # L sanitizations at eps/L each: per-invocation likelihood ratio
         # e^{eps/L}, product across rounds e^eps (up to float rounding)
-        from ldpmin.mechanisms import rr_flip_probability, rr_keep_probability
-
         for epsilon, depth in [(1.0, 5), (4.0, 8), (0.25, 3)]:
             budget = ProtocolConfig(epsilon, depth, 0.1, 1).round_budget
             ratio = rr_keep_probability(budget) / rr_flip_probability(budget)
@@ -450,3 +463,47 @@ class TestBaseline:
         oracle = oracle_rng.laplace(0.0, 2.0, size=(reps, n)).min(axis=1)
         se = math.hypot(ours.std(ddof=1), oracle.std(ddof=1)) / math.sqrt(reps)
         assert abs(ours.mean() - oracle.mean()) < 3 * se
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-300, 1.0, 32.0, math.inf],
+                             ids=["eps5e-324", "eps1e-300", "eps1", "eps32", "epsinf"])
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("model", [
+        BetaScaled(2.0, 1.0, -1.0, 0.3), BetaScaled(0.5, 3.0, 0.2, 0.5),
+        TruncNormal(0.0, 0.3, -0.4, 0.2),
+    ], ids=["beta(2,1)", "beta(0.5,3)", "truncnorm"])
+    @pytest.mark.parametrize("deferred", [True, False], ids=["deferred", "materialized"])
+    def test_pruned_minimum_is_the_full_minimum(self, epsilon, n, model, deferred):
+        # reading only the users whose report can be the minimum returns the
+        # bits of the minimum over all N reports, and leaves the stream where
+        # the full computation leaves it
+        budget = PrivacyBudget(epsilon)
+        for seed in range(8):
+            ref = make_rng(seed)
+            values = model.quantile(ref.random(n))
+            expected = np.float64((values + laplace_noise_many(n, budget, ref)).min())
+            rng = make_rng(seed)
+            cohort = iid_cohort(model, n, rng)
+            if not deferred:
+                cohort = Cohort(cohort.values, "iid")
+            got = np.float64(baseline_min(cohort, budget, rng))
+            assert got.tobytes() == expected.tobytes(), (seed, got, expected)
+            assert rng.random() == ref.random()
+
+    def test_nan_noise_reaches_the_minimum(self):
+        # u = 1/2 at an infinite noise scale gives inf * log(1) = NaN; the
+        # unpruned minimum propagates it, so the pruned one must too
+        cohort = iid_cohort(BetaScaled(2.0, 1.0, -1.0, 0.3), 5, ConstantRng(0.5))
+        with np.errstate(invalid="ignore"):
+            estimate = baseline_min(cohort, PrivacyBudget(5e-324), ConstantRng(0.5))
+        assert math.isnan(estimate)
+
+    def test_iid_baseline_reads_few_values(self):
+        # at eps = 1 only users within the support's width of the noise
+        # minimum can hold it: about one of N = 2^20 needs its value
+        from conftest import CountingModel
+
+        model = CountingModel(BetaScaled(2.0, 1.0, -1.0, 0.3))
+        rng = make_rng(13)
+        estimate = baseline_min(iid_cohort(model, 2**20, rng), PrivacyBudget(1.0), rng)
+        assert estimate < -1.0
+        assert 1 <= model.levels < 100
