@@ -155,6 +155,8 @@ def write_experiment(spec, cells, out_dir, config_path) -> None:
         points = harness.guideline_curve(spec.param_mode, fat_alpha,
                                          [c.n for c in curve_cells], epsilon,
                                          anchor=curve_cells[-1].mean_abs_err)
+        if not points:
+            continue
         # shortest round-trip decimal, so no two epsilons share a file
         name = repr(float(epsilon)).removesuffix(".0")
         write_guideline_csv(points, out_dir / f"guideline_eps{name}.csv")

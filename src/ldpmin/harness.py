@@ -9,11 +9,13 @@ grid stabilizes the otherwise placement-dependent discretization error of
 the bisection grid.
 
 Repetition streams are derived by counter-based splitting: the generator
-for one repetition is keyed on (seed, mechanism, N, epsilon, x_min, rep)
-values, never on loop indices, so cells are independent of iteration order
-and can run in parallel.  In the i.i.d. setting a search's stream gives each
-round's count (``IidCounts``), then its answers; a baseline's gives the users'
-uniforms, then the noise, and a value is read only where the minimum can fall.
+for one repetition is PCG64 seeded by numpy's SeedSequence on the key
+(seed, mechanism, N, epsilon, x_min, rep), never on loop indices, so cells
+are independent of iteration order and can run in parallel.  ``rep_rng``
+mixes a cell's part of the key once and hashes 64 reps at a time.  In the
+i.i.d. setting a search's stream gives each round's count (``IidCounts``),
+then its answers; a baseline's gives the users' uniforms, then the noise,
+and a value is read only where the minimum can fall.
 
 ``ModelTemplate`` and ``ExperimentSpec`` hold every default of a sweep;
 ``parse_experiment_config`` maps each config key to one of their fields.
@@ -21,10 +23,14 @@ uniforms, then the noise, and a value is read only where the minimum can fall.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import struct
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .datagen import BetaScaled, IidCounts, TruncNormal, fixed_cohort, iid_cohort
 from .params import choose_params
@@ -107,8 +113,11 @@ class ExperimentSpec:
             grid = getattr(self, name)
             if not grid or len(set(grid)) != len(grid):
                 raise ValueError(f"{name} must be nonempty without repeats, got {grid!r}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        # seed and rep are words of rep_rng's key: a nonnegative int, and one uint32
+        if not 1 <= self.reps <= 2**32:
+            raise ValueError(f"reps must lie in [1, 2**32], got {self.reps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}")
@@ -132,21 +141,88 @@ class CellResult:
     seed: int
 
 
-def _float_key(x: float) -> int:
-    return int(np.float64(x).view(np.uint64))
+# numpy's SeedSequence (bit_generator.pyx, a pool of 4 uint32 words) restated
+# for keys that differ only in their last word.  rep_rng's key is a cell's five
+# ints, at least one word each, then the rep's one word, so a cell is mixed once
+# and a block of reps as uint32 arrays.  tests/conftest.py holds the reference.
+_M32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_REP_BLOCK = 64
+_FLOAT64, _UINT64 = struct.Struct("<d"), struct.Struct("<Q")
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _M32)
+    return consts
+
+
+# the hash constants of generate_state's 8 output words
+_HASH_B = np.array(_hash_consts(0x8B51F9DD, 0x58F38DED, 9), dtype=np.uint32)
+
+
+def _hashmix(value, const, next_const):  # on ints and uint32 arrays alike
+    value = (value ^ const) * next_const & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=4)
+def _cell_pool(*cell: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pool after a cell's words, and the five hash constants the rep word's mixes use."""
+    if min(cell) < 0:
+        raise ValueError(f"expected non-negative integers, got {cell}")
+    words = [v >> s & _M32 for v in cell for s in range(0, max(v.bit_length(), 1), 32)]
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(words) + 5)
+    pool = [_hashmix(word, consts[i], consts[i + 1]) for i, word in enumerate(words[:4])]
+    for i, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[i], consts[i + 1]))
+    # each later word mixes into all four
+    for i, (word, dst) in enumerate(itertools.product(words[4:], range(4)), start=16):
+        pool[dst] = _mix(pool[dst], _hashmix(word, consts[i], consts[i + 1]))
+    return np.array(pool, dtype=np.uint32), np.array(consts[-5:], dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_states(block: int, *cell: int) -> np.ndarray:
+    """PCG64's seed state for each rep of one block of a cell, a row of 4 uint64."""
+    if not 0 <= block < 2**32 // _REP_BLOCK:
+        raise ValueError("rep must lie in [0, 2**32): it is one uint32 word of the key")
+    pool, consts = _cell_pool(*cell)
+    reps = np.arange(block * _REP_BLOCK, (block + 1) * _REP_BLOCK, dtype=np.uint32)
+    pool = _mix(pool, _hashmix(reps[:, None], consts[:-1], consts[1:]))
+    out = _hashmix(np.concatenate((pool, pool), axis=1), _HASH_B[:-1], _HASH_B[1:])
+    states = out.astype("<u4").view("<u8").astype(np.uint64)
+    states.flags.writeable = False
+    return states
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose state is already derived: PCG64 asks for 4 uint64 words."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 def rep_rng(seed: int, mechanism: str, n: int, epsilon: float, x_min: float, rep: int):
-    """Independent, order-free stream for one repetition of one cell."""
-    entropy = [
-        int(seed),
-        _MECH_CODE[mechanism],
-        int(n),
-        _float_key(epsilon),
-        _float_key(x_min),
-        int(rep),
-    ]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    """Independent, order-free stream for one repetition of one cell.
+
+    Equal to ``Generator(PCG64(SeedSequence([seed, mechanism code, n,
+    bits(epsilon), bits(x_min), rep])))``, with bits the float64 bit pattern.
+    """
+    rep = int(rep)
+    states = _block_states(rep // _REP_BLOCK, int(seed), _MECH_CODE[mechanism], int(n),
+                           _UINT64.unpack(_FLOAT64.pack(epsilon))[0],
+                           _UINT64.unpack(_FLOAT64.pack(x_min))[0])
+    return np.random.Generator(np.random.PCG64(_SeedState(states[rep % _REP_BLOCK])))
 
 
 def _errors_for_placement(spec: ExperimentSpec, mechanism: str, config: ProtocolConfig,
@@ -238,7 +314,8 @@ def guideline_curve(param_mode: str, alpha: float, n_grid, epsilon: float,
     (ln^3 N / (eps^2 N))^{1/2 alpha} under the known-lower-bound schedule,
     ln^6 in the log-squared one.  When ``anchor`` is given, the curve is
     scaled to pass through it at the largest N; the guideline carries slope
-    information only, never an absolute level.
+    information only, never an absolute level.  A curve that is 0 there
+    (eps = inf) has no slope and, anchored, is empty.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -248,6 +325,8 @@ def guideline_curve(param_mode: str, alpha: float, n_grid, epsilon: float,
            for n in ns]
     if anchor is None:
         return raw
+    if raw[-1][1] == 0.0:
+        return []
     scale = anchor / raw[-1][1]
     return [(n, v * scale) for n, v in raw]
 

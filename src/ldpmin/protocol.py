@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,7 @@ class ProtocolConfig:
         return self.gamma > 0.5 * phi_correction(self.round_budget) + 0.5
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One audited round: queried midpoint, aggregate and branch taken."""
 
     round: int

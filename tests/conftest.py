@@ -83,6 +83,14 @@ def laplace_sanitize(x: float, budget: PrivacyBudget, rng) -> float:
     return x + _laplace_from_uniform(rng.random(), laplace_scale(budget))
 
 
+def seed_sequence_rep_rng(seed: int, mechanism_code: int, n: int, epsilon: float,
+                          x_min: float, rep: int) -> np.random.Generator:
+    """Reference for ``harness.rep_rng``: numpy's own SeedSequence on the key."""
+    eps_bits, xmin_bits = (int(np.float64(x).view(np.uint64)) for x in (epsilon, x_min))
+    key = [seed, mechanism_code, n, eps_bits, xmin_bits, rep]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
 @pytest.fixture
 def rng():
     return make_rng(12345)

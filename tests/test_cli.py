@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from ldpmin import analysis, cli
+from ldpmin import analysis, cli, harness
 from ldpmin.net import run_client
 
 
@@ -198,6 +198,35 @@ class TestExperiment:
         assert code == 3
         assert err.startswith("error:") and "resolution" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("line, bad, key", [("seed = 5", "seed = -1", "seed"),
+                                                ("reps = 4", "reps = 4294967297", "reps")])
+    def test_key_word_out_of_range_exits_3_before_any_schedule(self, capsys, tmp_path,
+                                                               monkeypatch, line, bad, key):
+        def no_schedule(*args):
+            raise AssertionError("a schedule ran")
+
+        monkeypatch.setattr(harness, "choose_params", no_schedule)
+        cfg = tmp_path / "key.cfg"
+        cfg.write_text(TINY_CFG.replace(line, bad), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert err.startswith("error:") and f"{key} must" in err
+        assert not out_dir.exists()
+
+    def test_infinite_epsilon_writes_no_guideline(self, capsys, tmp_path):
+        # the rate curve is 0 at eps = inf, so it has no slope to anchor
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(TINY_CFG.replace("epsilon_grid = 2", "epsilon_grid = 2, inf"),
+                       encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 0 and err == ""
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "guideline_eps2.csv", "results.csv", "run_meta.json"]
+        rows = (out_dir / "results.csv").read_text().strip().splitlines()
+        assert sum(",inf," in row for row in rows) == 3 * 2
 
     def test_unknown_alpha_base_is_an_unknown_mode(self, capsys, tmp_path):
         cfg = tmp_path / "base.cfg"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import seed_sequence_rep_rng
 from ldpmin.harness import (
     MECH_BINARY_SEARCH,
     MECH_LAPLACE,
     MECH_NONPRIVATE,
+    MECHANISMS,
     ConfigError,
     ExperimentSpec,
     ModelTemplate,
@@ -78,6 +81,38 @@ class TestStreams:
             rep_rng(1, MECH_BINARY_SEARCH, 64, 2.0, -1.0, 4),
         ]:
             assert other.random(4).tolist() != base
+
+    # reps at and around the 64-rep blocks the derivation works in, up to the last rep
+    REPS = (0, 1, 63, 64, 65, 127, 128, 129, 2**32 - 65, 2**32 - 64, 2**32 - 1)
+    CODES = {MECH_BINARY_SEARCH: 0, MECH_LAPLACE: 1, MECH_NONPRIVATE: 2}
+
+    @staticmethod
+    def assert_reference_stream(seed, mechanism, n, epsilon, x_min, rep):
+        got = rep_rng(seed, mechanism, n, epsilon, x_min, rep)
+        want = seed_sequence_rep_rng(seed, TestStreams.CODES[mechanism], n, epsilon, x_min, rep)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(3).tolist() == want.random(3).tolist()
+        assert got.binomial(1000, 0.3) == want.binomial(1000, 0.3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 5])
+    def test_stream_is_the_seed_sequence_stream(self, seed):
+        for mechanism in MECHANISMS:
+            for epsilon in (4.0, 0.1, math.inf):
+                for x_min in (-1.0, -0.3, -0.0):
+                    for rep in self.REPS:
+                        self.assert_reference_stream(seed, mechanism, 1024, epsilon, x_min, rep)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**80), st.sampled_from(MECHANISMS), st.integers(1, 2**40),
+           st.floats(), st.floats(), st.integers(0, 2**32 - 1))
+    def test_stream_is_the_seed_sequence_stream_for_any_key(self, seed, mechanism, n,
+                                                             epsilon, x_min, rep):
+        self.assert_reference_stream(seed, mechanism, n, epsilon, x_min, rep)
+
+    @pytest.mark.parametrize("seed, rep", [(-1, 0), (0, -1), (0, 2**32)])
+    def test_key_outside_its_words_is_refused(self, seed, rep):
+        with pytest.raises(ValueError):
+            rep_rng(seed, MECH_BINARY_SEARCH, 64, 2.0, -1.0, rep)
 
 
 class TestRunExperiment:
@@ -219,6 +254,10 @@ class TestGuideline:
         for (n, kv), (_, uv) in zip(known, unknown):
             assert uv / kv == pytest.approx(math.log(n) ** (3 / 4), rel=1e-10)
 
+    def test_zero_rate_curve_has_nothing_to_anchor(self):
+        assert guideline_curve("lower_alpha", 1.0, self.NS, math.inf, anchor=0.042) == []
+        assert [v for _, v in guideline_curve("lower_alpha", 1.0, self.NS, math.inf)] == [0.0] * 5
+
     def test_quadrupling_n_roughly_halves_alpha_one_curve(self):
         curve = dict(guideline_curve("lower_alpha", 1.0, [4096, 16384], 1.0))
         ratio = curve[4096] / curve[16384]
@@ -294,6 +333,19 @@ mechanisms = binary_search, laplace
             parse_experiment_config(write_cfg(tmp_path, "n_grid = 64\nepsilon_grid = 1\nmechanisms =\n"))
         with pytest.raises(ValueError, match="mechanisms"):
             small_spec(mechanisms=())
+
+    @pytest.mark.parametrize("line, key", [("seed = -1", "seed"),
+                                           ("reps = 0", "reps"),
+                                           ("reps = 4294967297", "reps")])
+    def test_key_word_out_of_range_rejected(self, tmp_path, line, key):
+        # seed and rep are words of each repetition's stream key
+        with pytest.raises(ConfigError, match=f"{key} must"):
+            parse_experiment_config(write_cfg(tmp_path, f"n_grid = 64\nepsilon_grid = 1\n{line}\n"))
+
+    def test_reps_2_32_and_a_multiword_seed_accepted(self, tmp_path):
+        cfg = "n_grid = 64\nepsilon_grid = 1\nreps = 4294967296\nseed = 1208925819614629174706176\n"
+        spec = parse_experiment_config(write_cfg(tmp_path, cfg))
+        assert spec.reps == 2**32 and spec.seed == 2**80
 
     @pytest.mark.parametrize("grids", ["n_grid = 64, 0x40\nepsilon_grid = 1\n",
                                        "n_grid = 64\nepsilon_grid = 4, 4.0\n",
