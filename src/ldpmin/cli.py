@@ -4,7 +4,8 @@ All output is plain text: transcripts as JSON lines, experiment tables as
 CSV.  Every command is deterministic given --seed, and numeric fields use
 the shortest round-trip decimal so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 usage error, 3 runtime or protocol failure.
+Exit codes: 0 success, 2 usage error, 3 runtime or protocol failure (an
+allocation the host cannot make included).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def transcript_json_lines(transcript: Transcript) -> str:
     cfg = transcript.config
     lines.append(json.dumps({
         "estimate": transcript.estimate,
-        "degenerate_gamma": transcript.degenerate_gamma,
+        "degenerate_gamma": cfg.degenerate_gamma,
         "n": cfg.n, "epsilon": _jsonable(cfg.epsilon), "depth": cfg.depth,
         "gamma": cfg.gamma,
     }))
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, RuntimeError, ValueError) as exc:
+    except (OSError, RuntimeError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -11,11 +11,12 @@ the bisection grid.
 Repetition streams are derived by counter-based splitting: the generator
 for one repetition is PCG64 seeded by numpy's SeedSequence on the key
 (seed, mechanism, N, epsilon, x_min, rep), never on loop indices, so cells
-are independent of iteration order and can run in parallel.  ``rep_rng``
-mixes a cell's part of the key once and hashes 64 reps at a time.  In the
-i.i.d. setting a search's stream gives each round's count (``IidCounts``),
-then its answers; a baseline's gives the users' uniforms, then the noise,
-and a value is read only where the minimum can fall.
+are independent of iteration order and can run in parallel.  numpy mixes
+a cell's part of the key into its pool; ``rep_rng`` mixes in the rep word
+and hashes out the state, 64 reps at a time.  In the i.i.d. setting a
+search's stream gives each round's count (``IidCounts``), then its answers;
+a baseline's gives the users' uniforms, then the noise, and a value is read
+only where the minimum can fall.
 
 ``ModelTemplate`` and ``ExperimentSpec`` hold every default of a sweep;
 ``parse_experiment_config`` maps each config key to one of their fields.
@@ -24,7 +25,6 @@ and a value is read only where the minimum can fall.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields, replace
@@ -141,51 +141,23 @@ class CellResult:
     seed: int
 
 
-# numpy's SeedSequence (bit_generator.pyx, a pool of 4 uint32 words) restated
-# for keys that differ only in their last word.  rep_rng's key is a cell's five
-# ints, at least one word each, then the rep's one word, so a cell is mixed once
-# and a block of reps as uint32 arrays.  tests/conftest.py holds the reference.
-_M32 = 0xFFFFFFFF
+# numpy's SeedSequence (bit_generator.pyx, a pool of 4 uint32 words) for keys
+# that differ only in their last word.  rep_rng's key is a cell's five ints, at
+# least one word each, then the rep's one word: numpy mixes the cell into its
+# pool, then a block of reps mixes in its rep words and hashes out the state as
+# uint32 arrays.  The k-th hash constant is init * mult**k mod 2**32.
+# tests/conftest.py holds the reference.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _REP_BLOCK = 64
 _FLOAT64, _UINT64 = struct.Struct("<d"), struct.Struct("<Q")
-
-
-def _hash_consts(init: int, mult: int, count: int) -> list[int]:
-    consts = [init]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & _M32)
-    return consts
-
-
 # the hash constants of generate_state's 8 output words
-_HASH_B = np.array(_hash_consts(0x8B51F9DD, 0x58F38DED, 9), dtype=np.uint32)
+_HASH_B = np.array([_INIT_B * pow(_MULT_B, k, 2**32) % 2**32 for k in range(9)], dtype=np.uint32)
 
 
-def _hashmix(value, const, next_const):  # on ints and uint32 arrays alike
-    value = (value ^ const) * next_const & _M32
+def _hashmix(value, const, next_const):  # on uint32 arrays, which wrap mod 2**32
+    value = (value ^ const) * next_const
     return value ^ value >> 16
-
-
-def _mix(x, y):
-    value = (_MIX_L * x - _MIX_R * y) & _M32
-    return value ^ value >> 16
-
-
-@functools.lru_cache(maxsize=4)
-def _cell_pool(*cell: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pool after a cell's words, and the five hash constants the rep word's mixes use."""
-    if min(cell) < 0:
-        raise ValueError(f"expected non-negative integers, got {cell}")
-    words = [v >> s & _M32 for v in cell for s in range(0, max(v.bit_length(), 1), 32)]
-    consts = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(words) + 5)
-    pool = [_hashmix(word, consts[i], consts[i + 1]) for i, word in enumerate(words[:4])]
-    for i, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[i], consts[i + 1]))
-    # each later word mixes into all four
-    for i, (word, dst) in enumerate(itertools.product(words[4:], range(4)), start=16):
-        pool[dst] = _mix(pool[dst], _hashmix(word, consts[i], consts[i + 1]))
-    return np.array(pool, dtype=np.uint32), np.array(consts[-5:], dtype=np.uint32)
 
 
 @functools.lru_cache(maxsize=8)
@@ -193,9 +165,15 @@ def _block_states(block: int, *cell: int) -> np.ndarray:
     """PCG64's seed state for each rep of one block of a cell, a row of 4 uint64."""
     if not 0 <= block < 2**32 // _REP_BLOCK:
         raise ValueError("rep must lie in [0, 2**32): it is one uint32 word of the key")
-    pool, consts = _cell_pool(*cell)
+    pool = np.random.SeedSequence(cell).pool
+    # numpy's pool took 4 hash constants per word of the cell (5 words or more);
+    # the rep word's four mixes take the next ones
+    first = 4 * sum((max(v.bit_length(), 1) + 31) // 32 for v in cell)
+    consts = np.array([_INIT_A * pow(_MULT_A, k, 2**32) % 2**32 for k in range(first, first + 5)],
+                      dtype=np.uint32)
     reps = np.arange(block * _REP_BLOCK, (block + 1) * _REP_BLOCK, dtype=np.uint32)
-    pool = _mix(pool, _hashmix(reps[:, None], consts[:-1], consts[1:]))
+    pool = _MIX_L * pool - _MIX_R * _hashmix(reps[:, None], consts[:-1], consts[1:])
+    pool ^= pool >> 16
     out = _hashmix(np.concatenate((pool, pool), axis=1), _HASH_B[:-1], _HASH_B[1:])
     states = out.astype("<u4").view("<u8").astype(np.uint64)
     states.flags.writeable = False
@@ -315,14 +293,18 @@ def guideline_curve(param_mode: str, alpha: float, n_grid, epsilon: float,
     ln^6 in the log-squared one.  When ``anchor`` is given, the curve is
     scaled to pass through it at the largest N; the guideline carries slope
     information only, never an absolute level.  A curve that is 0 there
-    (eps = inf) has no slope and, anchored, is empty.
+    (eps = inf) has no slope and, anchored, is empty; one whose terms leave
+    float64 (``epsilon**2`` or the power overflows) is empty either way.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     log_power = 6.0 if param_mode == "unknown_alpha" else 3.0
     ns = sorted(int(n) for n in n_grid)
-    raw = [(n, (math.log(n) ** log_power / (epsilon**2 * n)) ** (1.0 / (2.0 * alpha)))
-           for n in ns]
+    try:
+        raw = [(n, (math.log(n) ** log_power / (epsilon**2 * n)) ** (1.0 / (2.0 * alpha)))
+               for n in ns]
+    except OverflowError:
+        return []
     if anchor is None:
         return raw
     if raw[-1][1] == 0.0:

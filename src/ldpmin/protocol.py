@@ -111,12 +111,11 @@ class RoundRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Transcript:
-    """Full audit trail of one run, the final estimate and the config's ``degenerate_gamma``."""
+    """Full audit trail of one run: its config, one record per round, the final estimate."""
 
     config: ProtocolConfig
     rounds: tuple[RoundRecord, ...]
     estimate: float
-    degenerate_gamma: bool = False
 
 
 def user_respond(x: float, tau: float, budget: RoundBudget, rng) -> int:
@@ -159,8 +158,7 @@ def bisect(config: ProtocolConfig, round_sum) -> Transcript:
         else:
             branch, lo = BRANCH_RIGHT, tau
         rounds.append(RoundRecord(t, tau, sum_z, phi, branch))
-    return Transcript(config, tuple(rounds), _midpoint(lo, hi),
-                      degenerate_gamma=config.degenerate_gamma)
+    return Transcript(config, tuple(rounds), _midpoint(lo, hi))
 
 
 def run_nonprivate_min(counts, depth: int) -> Transcript:
@@ -216,7 +214,7 @@ def run_private_max(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rn
     rounds = tuple(
         RoundRecord(r.round, -r.tau, r.sum_z, r.phi, r.branch) for r in mirrored.rounds
     )
-    return Transcript(config, rounds, -mirrored.estimate, mirrored.degenerate_gamma)
+    return Transcript(config, rounds, -mirrored.estimate)
 
 
 def baseline_min(cohort: Cohort, budget: PrivacyBudget, rng) -> float:

@@ -1,10 +1,18 @@
+import hashlib
 import json
+import platform
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from ldpmin import analysis, cli, harness
 from ldpmin.net import run_client
+
+# 2^59 float64 values are 4 EiB, an allocation any 64-bit host refuses at once
+UNALLOCATABLE_N = "576460752303423488"
 
 
 def run_main(capsys, argv):
@@ -124,6 +132,12 @@ class TestSimulate:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text().strip().splitlines()[-1])["estimate"] == 0.375
 
+    def test_cohort_too_large_to_allocate_exits_3(self, capsys):
+        code, out, err = run_main(capsys, ["simulate", "--n", UNALLOCATABLE_N, "--epsilon", "4",
+                                           "--param-mode", "lower_alpha"])
+        assert code == 3
+        assert out == "" and err.startswith("error:")
+
 
 TINY_CFG = """
 model = uniform
@@ -215,18 +229,34 @@ class TestExperiment:
         assert err.startswith("error:") and f"{key} must" in err
         assert not out_dir.exists()
 
-    def test_infinite_epsilon_writes_no_guideline(self, capsys, tmp_path):
-        # the rate curve is 0 at eps = inf, so it has no slope to anchor
-        cfg = tmp_path / "inf.cfg"
-        cfg.write_text(TINY_CFG.replace("epsilon_grid = 2", "epsilon_grid = 2, inf"),
-                       encoding="utf-8")
+    @pytest.mark.parametrize("edits, epsilon", [
+        ({}, "inf"),  # the rate curve is 0, so it has no slope to anchor
+        ({}, "1e+200"),  # epsilon**2 overflows
+        ({"model = uniform": "model = beta\nalpha = 0.005"}, "0.01"),  # the power overflows
+    ], ids=["zero", "epsilon_squared", "power"])
+    def test_unrepresentable_guideline_is_not_written(self, capsys, tmp_path, edits, epsilon):
+        text = TINY_CFG.replace("epsilon_grid = 2", f"epsilon_grid = 2, {epsilon}")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "guideline.cfg"
+        cfg.write_text(text, encoding="utf-8")
         out_dir = tmp_path / "out"
         code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
         assert code == 0 and err == ""
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "guideline_eps2.csv", "results.csv", "run_meta.json"]
         rows = (out_dir / "results.csv").read_text().strip().splitlines()
-        assert sum(",inf," in row for row in rows) == 3 * 2
+        assert sum(f",{epsilon}," in row for row in rows) == 3 * 2
+
+    def test_cohort_too_large_to_allocate_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(TINY_CFG.replace("n_grid = 64, 128, 256", f"n_grid = {UNALLOCATABLE_N}"),
+                       encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert err.startswith("error:")
+        assert not out_dir.exists()
 
     def test_unknown_alpha_base_is_an_unknown_mode(self, capsys, tmp_path):
         cfg = tmp_path / "base.cfg"
@@ -243,6 +273,31 @@ class TestExperiment:
         assert run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])[0] == 0
         names = sorted(p.name for p in out_dir.glob("guideline_eps*.csv"))
         assert names == ["guideline_eps4.0000001.csv", "guideline_eps4.csv"]
+
+
+# results.csv of each bundled config; a digest pins every stream and rounding
+# on the way, so it holds only for the versions that recorded it
+STOCK_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1", "python": "3.11.7"}
+STOCK_DIGESTS = {
+    "uniform_fixed": "c06f483243d90914c896dca23c231158724c3a425524e8404174d550e3769fa9",
+    "beta_alpha2_fixed": "ce37beae52735ec44b5a0205085a8aea91bc28bfad26ccaed06f2ab1204d3fe6",
+    "baseline_eps1": "090ea98e1adab444c06f54b821262bd772aeac24de9f1bb4d9142c2017c210ba",
+}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_DIGESTS))
+def test_stock_results_are_unchanged(capsys, tmp_path, name):
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__,
+                "python": platform.python_version()}
+    if versions != STOCK_VERSIONS:
+        pytest.skip(f"digests recorded with {STOCK_VERSIONS}, running {versions}")
+    out_dir = tmp_path / name
+    code, _, err = run_main(capsys, ["experiment", str(CONFIG_DIR / f"{name}.cfg"),
+                                     "--out-dir", str(out_dir)])
+    assert code == 0 and err == ""
+    digest = hashlib.sha256((out_dir / "results.csv").read_bytes()).hexdigest()
+    assert digest == STOCK_DIGESTS[name]
 
 
 class TestFit:

@@ -258,6 +258,12 @@ class TestGuideline:
         assert guideline_curve("lower_alpha", 1.0, self.NS, math.inf, anchor=0.042) == []
         assert [v for _, v in guideline_curve("lower_alpha", 1.0, self.NS, math.inf)] == [0.0] * 5
 
+    @pytest.mark.parametrize("alpha, epsilon", [(1.0, 1e200), (0.001, 0.01)],
+                             ids=["epsilon_squared", "power"])
+    def test_rate_beyond_float64_has_no_curve(self, alpha, epsilon):
+        assert guideline_curve("lower_alpha", alpha, self.NS, epsilon) == []
+        assert guideline_curve("lower_alpha", alpha, self.NS, epsilon, anchor=0.042) == []
+
     def test_quadrupling_n_roughly_halves_alpha_one_curve(self):
         curve = dict(guideline_curve("lower_alpha", 1.0, [4096, 16384], 1.0))
         ratio = curve[4096] / curve[16384]

@@ -101,7 +101,7 @@ class TestBisect:
         assert -1.0 <= low.estimate <= -1.0 + 2.0**-MAX_DEPTH
         config = ProtocolConfig(math.inf, MAX_DEPTH, 9.0, 1)
         high = run_private_min(fixed_cohort_of([-1.0]), config, make_rng(0))
-        assert high.degenerate_gamma
+        assert high.config.degenerate_gamma
         assert all(r.branch == BRANCH_RIGHT for r in high.rounds)
         assert 1.0 - 2.0**-MAX_DEPTH <= high.estimate <= 1.0
         with pytest.raises(ValueError, match="54"):
@@ -327,14 +327,14 @@ class TestPrivateMin:
         config = ProtocolConfig(epsilon=1.0, depth=1, gamma=5.0, n=1)
         assert config.gamma > unbiased_phi(1, 1, config.round_budget)  # phi's largest value
         t = run_private_min(fixed_cohort_of([-1.0]), config, make_rng(0))
-        assert t.degenerate_gamma
+        assert t.config.degenerate_gamma
         assert t.rounds[0].branch == BRANCH_RIGHT
         assert t.estimate == 0.5
 
     def test_reachable_gamma_not_flagged(self):
         config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.5, n=4)
         t = run_private_min(fixed_cohort_of([0.0, 0.1, 0.2, 0.3]), config, make_rng(0))
-        assert not t.degenerate_gamma
+        assert not t.config.degenerate_gamma
 
 
 def ks_critical(reps: int) -> float:
