@@ -137,18 +137,21 @@ class RateFit:
 
 
 def fit_rate(points) -> RateFit:
-    """Fit (N, err) pairs; needs >= 3 distinct N values and positive errors."""
+    """Fit (N, err) pairs; needs >= 3 distinct N values in float range and finite positive errors."""
     pts = [(int(n), float(err)) for n, err in points]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
-    ns = np.array([p[0] for p in pts], dtype=float)
+    try:
+        ns = np.array([p[0] for p in pts], dtype=float)
+    except OverflowError:
+        raise ValueError("N values must lie within float range") from None
     errs = np.array([p[1] for p in pts])
     if len(set(ns.tolist())) != len(ns):
         raise ValueError("N values must be distinct")
     if np.any(ns < 2):
         raise ValueError("N values must be >= 2")
-    if np.any(errs <= 0):
-        raise ValueError("errors must be positive")
+    if not np.all((errs > 0) & np.isfinite(errs)):
+        raise ValueError("errors must be finite and positive")
 
     log_n = np.log(ns)
     design = np.column_stack([np.ones_like(log_n), np.log(log_n), -log_n])

@@ -61,7 +61,7 @@ def transcript_json_lines(transcript: Transcript) -> str:
         "estimate": transcript.estimate,
         "degenerate_gamma": cfg.degenerate_gamma,
         "n": cfg.n, "epsilon": _jsonable(cfg.epsilon), "depth": cfg.depth,
-        "gamma": cfg.gamma,
+        "gamma": _jsonable(cfg.gamma),
     }))
     return "\n".join(lines) + "\n"
 

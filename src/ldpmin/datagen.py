@@ -184,10 +184,11 @@ class Cohort:
 
     @functools.cached_property
     def _sorted(self) -> np.ndarray:
-        return np.sort(self.values)
+        v = self.values  # a fixed cohort's are sorted already; checking costs less than np.sort
+        return v if np.all(v[:-1] <= v[1:]) else np.sort(v)
 
     def count_at_or_below(self, tau: float) -> int:
-        """Users with value <= tau, by binary search in a sorted copy, once per tau."""
+        """Users with value <= tau, by binary search in the sorted values, once per tau."""
         if tau not in self._counts:
             self._counts[tau] = int(np.searchsorted(self._sorted, tau, side="right"))
         return self._counts[tau]

@@ -17,9 +17,10 @@ A simulated run reads each round's count at tau from a count source (``n``
 and ``count_at_or_below``: a cohort, or ``datagen.IidCounts``, which draws an
 iid cohort's counts from the run's stream), then draws the answer sum as two
 binomials from that stream (users at or below tau first), so transcripts
-replay from (counts, config, seed).  Passing a cohort and ``user_rngs``
-simulates one independent stream per user instead (one uniform per
-sanitized bit); the estimator distribution is identical either way.
+replay from (counts, config, seed); a binomial over no users is skipped, as
+numpy returns 0 for it before touching the stream.  Passing a cohort and
+``user_rngs`` simulates one independent stream per user instead (one uniform
+per sanitized bit); the estimator distribution is identical either way.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .datagen import Cohort
 from .mechanisms import (
     PrivacyBudget,
     RoundBudget,
+    debias,
     laplace_noise_many,
     phi_correction,
     randomized_response,
     rr_keep_probability,
     rr_respond_many,
-    unbiased_phi,
 )
 
 BRANCH_LEFT = "left"
@@ -72,14 +73,14 @@ class ProtocolConfig:
                 f"depth must lie in [1, {MAX_DEPTH}] (float64 midpoint resolution), "
                 f"got {self.depth}"
             )
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # false for a NaN, which would send every branch right
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if math.isinf(phi_correction(self.round_budget) * self.n):  # so phi * sum_z is finite
+        if math.isinf(self.correction * self.n):  # so phi * sum_z is finite
             raise ValueError(f"epsilon/depth is too small for n = {self.n}: phi overflows")
 
-    @functools.cached_property  # these four are derived once per config
+    @functools.cached_property  # these five are derived once per config
     def budget(self) -> PrivacyBudget:
         return PrivacyBudget(self.epsilon)
 
@@ -92,11 +93,15 @@ class ProtocolConfig:
         return rr_keep_probability(self.round_budget)
 
     @functools.cached_property
+    def correction(self) -> float:  # phi's debiasing factor, at the round budget
+        return phi_correction(self.round_budget)
+
+    @functools.cached_property
     def degenerate_gamma(self) -> bool:
         """gamma lies beyond phi at all answers +1, the estimate's largest value,
         which forces every branch right: legal (tiny cohorts do it), worth marking.
         """
-        return self.gamma > 0.5 * phi_correction(self.round_budget) + 0.5
+        return self.gamma > 0.5 * self.correction + 0.5
 
 
 class RoundRecord(NamedTuple):
@@ -133,32 +138,28 @@ def respond_round(values: np.ndarray, tau: float, budget: RoundBudget, rng) -> n
     return rr_respond_many(raw, budget, rng)
 
 
-def _midpoint(lo: float, hi: float) -> float:
-    # lo + (hi - lo)/2 keeps the midpoint an exact dyadic rational
-    return lo + (hi - lo) / 2.0
-
-
 def bisect(config: ProtocolConfig, round_sum) -> Transcript:
     """The interval walk behind every search.
 
     Round t queries the midpoint tau and takes ``round_sum(t, tau)``, the sum
     of the N answers in {-1, +1}; it keeps the left half when the debiased
-    estimate reaches ``config.gamma``.  Returns the midpoint of the final
-    interval with one record per round.
+    estimate (``unbiased_phi``, unchecked: every caller's sum is valid) reaches
+    ``config.gamma``.  Returns the midpoint of the final interval with one
+    record per round.
     """
-    budget = config.round_budget
+    two_n, correction, gamma = 2.0 * config.n, config.correction, config.gamma
     lo, hi = -1.0, 1.0
     rounds = []
     for t in range(1, config.depth + 1):
-        tau = _midpoint(lo, hi)
+        tau = lo + (hi - lo) / 2.0  # keeps tau an exact dyadic rational
         sum_z = round_sum(t, tau)
-        phi = unbiased_phi(sum_z, config.n, budget)
-        if phi >= config.gamma:
+        phi = debias(sum_z, two_n, correction)
+        if phi >= gamma:
             branch, hi = BRANCH_LEFT, tau
         else:
             branch, lo = BRANCH_RIGHT, tau
         rounds.append(RoundRecord(t, tau, sum_z, phi, branch))
-    return Transcript(config, tuple(rounds), _midpoint(lo, hi))
+    return Transcript(config, tuple(rounds), lo + (hi - lo) / 2.0)
 
 
 def run_nonprivate_min(counts, depth: int) -> Transcript:
@@ -193,11 +194,14 @@ def run_private_min(counts, config: ProtocolConfig, rng=None, *, user_rngs=None)
             budget = config.round_budget
             return sum(user_respond(x, tau, budget, g) for x, g in zip(counts.values, user_rngs))
     else:
+        count, binomial = counts.count_at_or_below, rng.binomial
+        p_keep, p_flip = config.p_keep, 1.0 - config.p_keep
         def round_sum(t, tau):
-            # respond_round's sum in law: of k raw +1s each is kept w.p. p_keep,
-            # of n - k raw -1s each is flipped to +1 w.p. 1 - p_keep
-            k, p_keep = counts.count_at_or_below(tau), config.p_keep
-            return 2 * int(rng.binomial(k, p_keep) + rng.binomial(n - k, 1.0 - p_keep)) - n
+            # respond_round's sum in law: of k raw +1s each is kept w.p. p_keep, of
+            # n - k raw -1s each is flipped w.p. p_flip; a draw over no users is skipped
+            k = count(tau)
+            plus = (binomial(k, p_keep) if k else 0) + (binomial(n - k, p_flip) if k != n else 0)
+            return 2 * plus - n
     return bisect(config, round_sum)
 
 

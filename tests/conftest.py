@@ -83,6 +83,17 @@ def laplace_sanitize(x: float, budget: PrivacyBudget, rng) -> float:
     return x + _laplace_from_uniform(rng.random(), laplace_scale(budget))
 
 
+def always_two_binomials(counts, config, rng):
+    """Reference for ``run_private_min``'s shared-stream round sum: it draws both
+    binomials every round, the empty ones (k = 0 or k = n) included."""
+    n, p_keep = config.n, config.p_keep
+
+    def round_sum(t, tau):
+        k = counts.count_at_or_below(tau)
+        return 2 * int(rng.binomial(k, p_keep) + rng.binomial(n - k, 1.0 - p_keep)) - n
+    return round_sum
+
+
 def seed_sequence_rep_rng(seed: int, mechanism_code: int, n: int, epsilon: float,
                           x_min: float, rep: int) -> np.random.Generator:
     """Reference for ``harness.rep_rng``: numpy's own SeedSequence on the key."""

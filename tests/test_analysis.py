@@ -204,3 +204,11 @@ class TestFitRate:
             fit_rate([(10, 0.1), (10, 0.05), (20, 0.02)])
         with pytest.raises(ValueError):
             fit_rate([(10, 0.1), (20, -0.05), (40, 0.02)])
+
+    @pytest.mark.parametrize("row", [(20, math.nan), (20, math.inf), (20, -math.inf),
+                                     (10**400, 0.05)],
+                             ids=["nan-err", "inf-err", "minus-inf-err", "n-beyond-float"])
+    def test_non_finite_rows_are_refused(self, row):
+        # a NaN error used to fit A = nan, and an n past float range to raise OverflowError
+        with pytest.raises(ValueError, match="finite|float range"):
+            fit_rate([(10, 0.1), row, (40, 0.02)])

@@ -123,6 +123,26 @@ class TestSimulate:
         assert code == 3
         assert out == "" and err.startswith("error:") and "overflows" in err
 
+    def test_gamma_nan_exits_nonzero(self, capsys):
+        code, out, err = run_main(capsys, [
+            "simulate", "--data", "0.5", "--epsilon", "1", "--depth", "3", "--gamma", "nan",
+        ])
+        assert code != 0
+        assert out == "" and "gamma" in err
+
+    def test_gamma_inf_is_strict_json(self, capsys):
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        code, out, _ = run_main(capsys, [
+            "simulate", "--data", "0.5,-0.25", "--epsilon", "inf", "--depth", "3",
+            "--gamma", "inf",
+        ])
+        assert code == 0
+        lines = [json.loads(line, parse_constant=refuse) for line in out.splitlines()]
+        assert lines[-1]["gamma"] == "inf" and lines[-1]["degenerate_gamma"] is True
+        assert [r["branch"] for r in lines[:-1]] == ["right"] * 3
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "transcript.jsonl"
         code, out, _ = run_main(capsys, [
@@ -376,6 +396,16 @@ class TestFit:
         code, _, err = run_main(capsys, ["fit", str(path)])
         assert code == 3
 
+    @pytest.mark.parametrize("row", [(128, "nan"), (128, "inf"), (128, "-inf"),
+                                     ("1" + "0" * 400, 0.4)],
+                             ids=["nan-err", "inf-err", "minus-inf-err", "n-beyond-float"])
+    def test_non_finite_row_exits_3(self, capsys, tmp_path, row):
+        # a NaN error once printed A = nan and exited 0; a 401-digit n raised a traceback
+        path = self.write_curve(tmp_path, [(64, 0.5), row, (256, 0.3), (512, 0.2)])
+        code, out, err = run_main(capsys, ["fit", str(path)])
+        assert code == 3
+        assert out == "" and err.startswith("error: ")
+
 
 class TestServeAndClient:
     def test_client_value_domain_checked_before_connect(self, capsys):
@@ -431,6 +461,14 @@ class TestServeAndClient:
         ])
         assert code == 3
         assert "LISTENING" not in out and "54" in err
+
+    def test_serve_gamma_nan_exits_nonzero_before_binding(self, capsys):
+        code, out, err = run_main(capsys, [
+            "serve", "--bind", "127.0.0.1:0", "--clients", "1",
+            "--epsilon", "1", "--depth", "3", "--gamma", "nan", "--timeout", "1",
+        ])
+        assert code != 0
+        assert "LISTENING" not in out and "gamma" in err
 
     def test_server_timeout_exits_nonzero(self, capsys):
         code, _, err = run_main(capsys, [

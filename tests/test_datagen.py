@@ -197,6 +197,14 @@ class TestFixedCohort:
             fixed_cohort(BetaScaled(1.0, 1.0, -1.0, 2.0), 1)
 
 
+    @pytest.mark.parametrize("n", [2, 3, 1024, 65536])
+    @pytest.mark.parametrize("model", PARAMETRIC_MODELS + FAR_TAIL_MODELS)
+    def test_values_are_nondecreasing_so_counts_read_them_unsorted(self, model, n):
+        cohort = fixed_cohort(model, n)
+        assert np.all(cohort.values[:-1] <= cohort.values[1:])
+        assert cohort._sorted is cohort.values  # no sorted copy is made
+
+
 class ZeroRng:
     def random(self, size=None):
         return np.zeros(size) if size is not None else 0.0
@@ -321,6 +329,20 @@ class TestCohort:
             assert type(k) is int
             assert k == int(np.count_nonzero(cohort.values <= tau)), tau
         assert cohort.values.tolist() == values  # the sorted copy is a copy
+
+    @pytest.mark.parametrize("make", [
+        lambda: Cohort(np.array([0.25, -0.5, 1.0, 0.25, -1.0]), "fixed"),  # as --data gives
+        lambda: fixed_cohort(BetaScaled(2.0, 1.0, -0.6, 1.2), 257).negated(),
+        lambda: iid_cohort(BetaScaled(2.0, 1.0, -0.6, 1.2), 257, make_rng(9)),
+    ], ids=["data", "negated", "iid"])
+    def test_unsorted_cohort_counts_by_a_sorted_copy(self, make):
+        cohort = make()
+        before = cohort.values.copy()
+        assert np.any(np.diff(before) < 0)
+        assert np.array_equal(cohort._sorted, np.sort(before))
+        for tau in np.linspace(-1.0, 1.0, 41):
+            assert cohort.count_at_or_below(float(tau)) == int(np.count_nonzero(before <= tau))
+        assert np.array_equal(cohort.values, before)
 
 
 class TestIidCounts:

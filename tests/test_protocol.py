@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ldpmin.datagen import BetaScaled, Cohort, TruncNormal, iid_cohort
+from ldpmin.datagen import BetaScaled, Cohort, IidCounts, TruncNormal, iid_cohort
 from ldpmin.mechanisms import (
     PrivacyBudget,
     RoundBudget,
     laplace_noise_many,
+    phi_correction,
     rr_keep_probability,
     unbiased_phi,
 )
@@ -28,7 +29,13 @@ from ldpmin.protocol import (
     user_respond,
 )
 
-from conftest import ConstantRng, CountingRng, make_rng, rr_flip_probability
+from conftest import (
+    ConstantRng,
+    CountingRng,
+    always_two_binomials,
+    make_rng,
+    rr_flip_probability,
+)
 
 cohort_values = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=60
@@ -115,8 +122,6 @@ class TestBisect:
 class TestConfig:
     def test_phi_that_would_overflow_is_refused(self):
         # phi_correction * sum_z must stay finite for every |sum_z| <= n
-        from ldpmin.mechanisms import phi_correction
-
         with pytest.raises(ValueError, match="overflows"):
             ProtocolConfig(2.2e-308, 1, 0.3, 3)
         with pytest.raises(ValueError, match="overflows"):
@@ -133,8 +138,15 @@ class TestConfig:
         assert config.budget == PrivacyBudget(3.0)
         assert config.round_budget == PrivacyBudget(3.0).split(6)
         assert config.p_keep == rr_keep_probability(config.round_budget)
+        assert config.correction == phi_correction(config.round_budget)
         assert not config.degenerate_gamma
         assert ProtocolConfig(math.inf, 6, 1.5, 1).degenerate_gamma
+
+    @pytest.mark.parametrize("gamma", [math.nan, -0.1, -math.inf])
+    def test_gamma_nan_or_negative_is_refused(self, gamma):
+        # "gamma < 0" is false for a NaN, which then sends every branch right
+        with pytest.raises(ValueError, match="gamma"):
+            ProtocolConfig(1.0, 3, gamma, 4)
 
 
 class TestNonPrivate:
@@ -314,6 +326,47 @@ class TestPrivateMin:
             plus = replay.binomial(k, p_keep) + replay.binomial(n - k, 1.0 - p_keep)
             assert r.sum_z == 2 * plus - n
         assert rng.bit_generator.state == replay.bit_generator.state
+
+    # (count source from the run's stream, epsilon, depth, gamma); each case
+    # meets k = 0 or k = n, where the round's empty binomial is not drawn
+    SKIP_CASES = {
+        "one-user": (lambda rng: fixed_cohort_of([0.3]), 1.0, 8, 0.3),
+        "all-equal": (lambda rng: fixed_cohort_of([0.2] * 5), 2.0, 8, 0.5),
+        "at-minus-one": (lambda rng: fixed_cohort_of([-1.0, -1.0]), 1.0, 6, 0.2),
+        "at-plus-one": (lambda rng: fixed_cohort_of([1.0, 1.0, 1.0]), 1.0, 6, 0.2),
+        "two-users": (lambda rng: fixed_cohort_of([0.5, -0.25]), 1.0, 8, 0.3),
+        "noise-free": (lambda rng: fixed_cohort_of([0.1, -0.4, 0.8]), math.inf, 10, 1 / 6),
+        "gamma-zero": (lambda rng: fixed_cohort_of(np.linspace(-0.5, 0.5, 9)), 2.0, 10, 0.0),
+        "gamma-above-max-phi": (lambda rng: fixed_cohort_of(np.linspace(-0.5, 0.5, 9)),
+                                2.0, 10, 50.0),
+        "iid-cohort": (lambda rng: iid_cohort(BetaScaled(2.0, 1.0, -0.3, 0.4), 33, make_rng(5)),
+                       1.0, 12, 0.05),
+        "iid-counts": (lambda rng: IidCounts(BetaScaled(2.0, 1.0, -0.3, 0.4), 1000, rng),
+                       4.0, 12, 0.02),
+    }
+
+    @pytest.mark.parametrize("case", SKIP_CASES.values(), ids=SKIP_CASES.keys())
+    def test_skipped_empty_draws_keep_the_stream(self, case):
+        # the run equals the walk that draws both binomials every round, and
+        # leaves its stream in the same state
+        make_counts, epsilon, depth, gamma = case
+        rng, ref_rng = make_rng(50), make_rng(50)
+        counts, ref_counts = make_counts(rng), make_counts(ref_rng)
+        config = ProtocolConfig(epsilon, depth, gamma, counts.n)
+        t = run_private_min(counts, config, rng)
+        assert t == bisect(config, always_two_binomials(ref_counts, config, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert {ref_counts.count_at_or_below(r.tau) for r in t.rounds} & {0, counts.n}
+
+    @settings(max_examples=60, deadline=None)
+    @given(cohort_values, st.integers(min_value=1, max_value=12),
+           st.floats(min_value=0.0, max_value=1.5),
+           st.floats(min_value=0.05, max_value=60.0) | st.just(math.inf))
+    def test_round_phi_is_unbiased_phi_bit_for_bit(self, values, depth, gamma, epsilon):
+        cohort = fixed_cohort_of(values)
+        config = ProtocolConfig(epsilon, depth, gamma, cohort.n)
+        for r in run_private_min(cohort, config, make_rng(6)).rounds:
+            assert r.phi.hex() == unbiased_phi(r.sum_z, cohort.n, config.round_budget).hex()
 
     def test_per_user_streams_need_a_cohort(self):
         from ldpmin.datagen import BetaScaled, IidCounts
