@@ -1,4 +1,4 @@
-"""Closed-form error bounds (used as test oracles) and empirical rate fitting.
+"""The closed-form error bound of a search and empirical rate fitting.
 
 The concentration rate of a randomized-response average at budget eps is
 
@@ -7,6 +7,11 @@ The concentration rate of a randomized-response average at budget eps is
 so the probability that the debiased estimate deviates from its mean by d
 is at most exp(-rate(eps) d^2 N).  Plugging in the stock threshold makes
 this bound exactly e^{-h}, an identity the tests check to 12 digits.
+
+:func:`error_bound` adds a quantile term, from the model's tail F(x) >=
+C (x - x_min)^alpha, and the grid's 2^-L; ``ldpmin experiment`` writes it per
+search cell to ``bounds.csv``.  It is this code's statement of the theorem,
+checked against measured errors, not taken from the paper's text.
 
 ``fit_rate`` recovers the decay exponent of an empirical error curve by
 ordinary least squares on
@@ -23,6 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .datagen import fatness_constant
 
 
 def rr_concentration_rate(epsilon: float) -> float:
@@ -46,69 +53,50 @@ def tail_bound(epsilon_round: float, deviation: float, n: int) -> float:
 class ErrorBound:
     """Three-term error bound with the terms kept separate for inspection.
 
-    ``applicable`` is None when the caller did not supply the support width
-    needed to check the small-threshold precondition, True/False otherwise.
-    A bound outside its precondition is meaningless, not merely loose.
+    ``applicable`` is the small-threshold precondition 2 gamma < C (x_max -
+    x_min)^alpha; a bound outside it is meaningless, not merely loose.
     """
 
     quantile_term: float
     noise_term: float
     discretization_term: float
-    applicable: bool | None = None
+    applicable: bool
 
     @property
     def value(self) -> float:
         return self.quantile_term + self.noise_term + self.discretization_term
 
 
-def _check_bound_args(gamma, epsilon, depth, n, alpha, c) -> None:
-    if not (gamma > 0 and epsilon > 0 and depth >= 1 and n >= 1):
-        raise ValueError("gamma, epsilon, depth and n must be positive")
-    if not (alpha > 0 and c > 0):
-        raise ValueError("alpha and c must be positive")
+def error_bound(model, config, setting: str) -> ErrorBound:
+    """Mean-absolute-error bound of a search with ``config`` on a ``setting`` cohort of ``model``:
 
+        Q + exp(-rate(eps/L) gamma^2 N) + 2^{-L} ,
 
-def _applicable(gamma, alpha, c, support_width) -> bool | None:
-    if support_width is None:
-        return None
-    return 2.0 * gamma < c * support_width**alpha
-
-
-def error_bound_fixed(gamma, epsilon, depth, n, alpha, c, support_width=None) -> ErrorBound:
-    """Mean-absolute-error bound for deterministic-quantile cohorts:
-
-        2 (2 gamma / C)^{1/alpha} + exp(-rate(eps/L) gamma^2 N) + 2^{-L} .
-
-    Valid only while 2 gamma < C (x_bar - x_min)^alpha; pass the support
-    width x_bar - x_min to have that precondition checked and flagged.
+    with alpha the model's ``fat_alpha``, C its :func:`fatness_constant`, and
+    Q = 2 (2 gamma / C)^{1/alpha} for a fixed cohort, and for an i.i.d. one
+    2 (1/C)^{1/alpha} (ceil(2 gamma N))^{rising 1/alpha} / (N+1)^{rising 1/alpha},
+    which is 2 ceil(2 gamma N) / (C (N + 1)) at alpha = 1.  A C of 0, or a
+    term past float64, makes Q inf and the bound not applicable.
     """
-    _check_bound_args(gamma, epsilon, depth, n, alpha, c)
+    if setting not in ("fixed", "iid"):
+        raise ValueError(f"setting must be 'fixed' or 'iid', got {setting!r}")
+    gamma, n, alpha = config.gamma, config.n, model.fat_alpha
+    try:
+        c = fatness_constant(model)
+        if setting == "fixed":
+            quantile = 2.0 * (2.0 * gamma / c) ** (1.0 / alpha)
+        else:
+            ratio = (rising_factorial(math.ceil(2.0 * gamma * n), 1.0 / alpha)
+                     / rising_factorial(n + 1.0, 1.0 / alpha))
+            quantile = 2.0 * (1.0 / c) ** (1.0 / alpha) * ratio
+        applicable = 2.0 * gamma < c * (model.x_max - model.x_min) ** alpha
+    except (OverflowError, ZeroDivisionError):  # Python floats raise where numpy gives inf
+        quantile, applicable = math.inf, False
     return ErrorBound(
-        quantile_term=2.0 * (2.0 * gamma / c) ** (1.0 / alpha),
-        noise_term=tail_bound(epsilon / depth, gamma, n),
-        discretization_term=2.0**-depth,
-        applicable=_applicable(gamma, alpha, c, support_width),
-    )
-
-
-def error_bound_iid(gamma, epsilon, depth, n, alpha, c, support_width=None) -> ErrorBound:
-    """Bound for i.i.d. cohorts; only the quantile term changes:
-
-        2 (1/C)^{1/alpha} (ceil(2 gamma N))^{rising 1/alpha}
-                          / (N+1)^{rising 1/alpha} .
-
-    At alpha = 1 the rising-factorial ratio collapses to
-    ceil(2 gamma N) / (N + 1).  Noise and discretization terms are shared
-    with :func:`error_bound_fixed`.
-    """
-    _check_bound_args(gamma, epsilon, depth, n, alpha, c)
-    k = math.ceil(2.0 * gamma * n)
-    ratio = rising_factorial(k, 1.0 / alpha) / rising_factorial(n + 1.0, 1.0 / alpha)
-    return ErrorBound(
-        quantile_term=2.0 * (1.0 / c) ** (1.0 / alpha) * ratio,
-        noise_term=tail_bound(epsilon / depth, gamma, n),
-        discretization_term=2.0**-depth,
-        applicable=_applicable(gamma, alpha, c, support_width),
+        quantile_term=quantile,
+        noise_term=tail_bound(config.round_budget.epsilon_round, gamma, n),
+        discretization_term=2.0**-config.depth,
+        applicable=applicable,
     )
 
 

@@ -1,8 +1,8 @@
 """Command-line entry point: simulate, experiment, fit, serve, client.
 
 All output is plain text: transcripts as JSON lines, experiment tables as
-CSV.  Every command is deterministic given --seed, and numeric fields use
-the shortest round-trip decimal so repeated runs are byte-identical.
+CSV.  Every command but a client without --seed is deterministic, and numeric
+fields use the shortest round-trip decimal so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 runtime or protocol failure (an
 allocation the host cannot make included).
@@ -30,6 +30,8 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(harness.CellResult))
+BOUND_COLUMNS = ("n", "epsilon", "x_min", "quantile_term", "noise_term",
+                 "discretization_term", "bound", "applicable", "err_over_bound")
 
 
 class UsageError(ValueError):
@@ -37,8 +39,8 @@ class UsageError(ValueError):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # an np.float64 too, which numpy 2 would repr as np.float64(...)
+        return repr(float(value))
     return str(value)
 
 
@@ -66,20 +68,23 @@ def transcript_json_lines(transcript: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_csv(out_path, header, rows) -> None:
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def write_result_csv(rows, out_path) -> None:
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in RESULT_COLUMNS])
+    _write_csv(out_path, RESULT_COLUMNS, ([getattr(r, c) for c in RESULT_COLUMNS] for r in rows))
 
 
-def write_guideline_csv(points, out_path) -> None:
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "guideline_value"])
-        for n, value in points:
-            writer.writerow([str(n), repr(float(value))])
+def _bound_row(spec, cell) -> tuple:
+    """A search cell's bounds.csv row: :func:`analysis.error_bound` at its worst placement."""
+    config = choose_params(spec.param_mode, cell.n, cell.epsilon)
+    b = analysis.error_bound(spec.model.place(cell.x_min), config, spec.setting)
+    return (cell.n, cell.epsilon, cell.x_min, b.quantile_term, b.noise_term,
+            b.discretization_term, b.value, b.applicable, cell.mean_abs_err / b.value)
 
 
 def _parse_epsilon(text: str) -> float:
@@ -141,7 +146,7 @@ def cmd_simulate(args) -> int:
 
 
 def write_experiment(spec, cells, out_dir, config_path) -> None:
-    """Write a sweep's results.csv, guideline_eps<eps>.csv files and run_meta.json."""
+    """Write a sweep's results.csv, bounds.csv, guideline_eps<eps>.csv files and run_meta.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_result_csv(cells, out_dir / "results.csv")
@@ -149,6 +154,7 @@ def write_experiment(spec, cells, out_dir, config_path) -> None:
     # guidelines anchor on the bisection mechanism's worst-case curve
     fat_alpha = spec.model.place(spec.xmin_grid[0]).fat_alpha
     binary = [c for c in cells if c.mechanism == harness.MECH_BINARY_SEARCH]
+    _write_csv(out_dir / "bounds.csv", BOUND_COLUMNS, (_bound_row(spec, c) for c in binary))
     for epsilon in spec.epsilon_grid:
         curve_cells = sorted((c for c in binary if c.epsilon == epsilon), key=lambda c: c.n)
         if not curve_cells:
@@ -160,7 +166,7 @@ def write_experiment(spec, cells, out_dir, config_path) -> None:
             continue
         # shortest round-trip decimal, so no two epsilons share a file
         name = repr(float(epsilon)).removesuffix(".0")
-        write_guideline_csv(points, out_dir / f"guideline_eps{name}.csv")
+        _write_csv(out_dir / f"guideline_eps{name}.csv", ("n", "guideline_value"), points)
 
     meta = {
         "config": str(config_path),
@@ -311,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     cli = sub.add_parser("client", help="participate as one user")
     cli.add_argument("--connect", required=True, help="server host:port")
     cli.add_argument("--value", type=float, required=True, help="this user's datum in [-1, 1]")
-    cli.add_argument("--seed", type=int, required=True)
+    cli.add_argument("--seed", type=int, default=None,
+                     help="replay seed, which undoes every flip (default: OS entropy)")
     cli.add_argument("--timeout", default="30",
                      help="deadline (s) for the connect and for each line read")
     cli.set_defaults(func=cmd_client)

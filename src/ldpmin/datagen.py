@@ -259,21 +259,22 @@ class IidCounts:
         return k
 
 
-def fatness_constant(model) -> tuple[float, float]:
-    """Closed-form (C, x_bar) with F(x) >= C (x - x_min)^alpha on (x_min, x_bar).
+def fatness_constant(model) -> float:
+    """Closed-form C with F(x) >= C (x - x_min)^alpha on (x_min, x_max).
 
     For the rescaled beta model the sharp constant is
-    min{1, 1/(alpha B(alpha, beta))} / delta^alpha with x_bar the right
-    support edge.  For the truncated normal the exponent is 1 and C is the
-    smallest density value on the support (attained at a boundary).
-    Any other model carries no closed form and is rejected.
+    min{1, 1/(alpha B(alpha, beta))} / delta^alpha.  For the truncated
+    normal the exponent is 1 and C is the smallest density value on the
+    support (attained at a boundary).  Any other model carries no closed
+    form and is rejected.  C is a Python float: a delta^alpha past float64
+    raises ``OverflowError`` or ``ZeroDivisionError`` instead of giving inf or 0.
     """
     if isinstance(model, BetaScaled):
-        c0 = min(1.0, 1.0 / (model.alpha * special.beta(model.alpha, model.beta)))
-        return c0 / model.delta**model.alpha, model.x_max
+        # min{1, 1/(alpha B)} without dividing by a B that underflows to 0
+        c0 = 1.0 / max(1.0, model.alpha * float(special.beta(model.alpha, model.beta)))
+        return c0 / model.delta**model.alpha
     if isinstance(model, TruncNormal):
         # the density is smallest at the support edge farther from mu
         t = max(model.mu - model.x_min, model.x_max - model.mu) / model.sigma
-        dens = math.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * model.sigma * model._mass)
-        return dens, model.x_max
+        return math.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * model.sigma * model._mass)
     raise TypeError(f"no closed-form fatness constant for {type(model).__name__}")

@@ -67,7 +67,7 @@ class ModelTemplate:
             raise ValueError(f"delta must lie in (0, 2], got {self.delta}")
 
     def place(self, x_min: float):
-        if x_min + self.delta > 1.0 + 1e-12 or x_min < -1.0:
+        if not (x_min >= -1.0 and x_min + self.delta <= 1.0 + 1e-12):  # a NaN fails too
             raise ValueError(
                 f"infeasible placement x_min={x_min} with delta={self.delta} leaves [-1, 1]"
             )

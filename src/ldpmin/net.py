@@ -6,7 +6,8 @@ sanitization happens client-side; the only value derived from a user's
 datum or seed that ever crosses the wire is the randomized-response bit,
 which the tests assert on the raw inbound line log.  The seed drives the
 client's randomized response and never leaves the client: anyone who holds
-it can undo every flip, so fixed seeds (as in the demo) are for replay only.
+it can undo every flip, so a client draws its seed from OS entropy unless
+given one, and a fixed seed is for replay only.
 
 Wire format: UTF-8 lines terminated by a newline, space-separated fields,
 first token the message name; a line holds at most ``MAX_LINE`` bytes and
@@ -212,13 +213,14 @@ class MinServer:
         return transcript
 
 
-def run_client(connect_address: tuple[str, int], x: float, seed: int,
+def run_client(connect_address: tuple[str, int], x: float, seed: int | None,
                timeout: float = 30.0) -> float:
     """Participate as one user holding ``x``; returns the final estimate.
 
     The datum never leaves the process: every answer is sanitized locally
     before transmission.  ``x`` and ``timeout`` are checked before connecting.
-    Replaying with the same seed reproduces the exact response sequence.
+    A ``seed`` of None draws the randomized response's seed from OS entropy;
+    replaying with the same int seed reproduces the exact response sequence.
     """
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"value must lie in [-1, 1], got {x!r}")

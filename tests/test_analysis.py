@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from ldpmin.analysis import (
-    error_bound_fixed,
-    error_bound_iid,
+    error_bound,
     fit_rate,
     rising_factorial,
     rr_concentration_rate,
     tail_bound,
 )
-from ldpmin.params import gamma_threshold
+from ldpmin.datagen import BetaScaled, TruncNormal, fixed_cohort
+from ldpmin.params import gamma_threshold, params_known_alpha
+from ldpmin.protocol import MAX_DEPTH, ProtocolConfig, run_private_min
 
 from conftest import make_rng
 
@@ -65,17 +66,22 @@ class TestTailBound:
         assert exceed / reps <= bound + 3 * sigma
 
 
+def beta_model(alpha, c):
+    """A beta(alpha, 1) model whose fatness constant is c: its C is 1/delta^alpha."""
+    return BetaScaled(alpha, 1.0, -1.0, c ** (-1.0 / alpha))
+
+
 class TestErrorBounds:
     def test_fixed_terms_match_reference(self):
         # high-precision evaluation of the three summands at one grid point
-        b = error_bound_fixed(gamma=0.05, epsilon=1.0, depth=5, n=4096,
-                              alpha=1.0, c=1.0 / 0.3)
+        b = error_bound(beta_model(1.0, 1.0 / 0.3), ProtocolConfig(1.0, 5, 0.05, 4096), "fixed")
         assert b.quantile_term == pytest.approx(0.06, rel=1e-12)
         assert b.noise_term == pytest.approx(0.954802410069152305, rel=1e-12)
         assert b.discretization_term == 2.0**-5
         assert b.value == pytest.approx(1.04605241006915231, rel=1e-12)
 
     def test_fixed_matches_reference_on_grid(self):
+        # beta_model's widths for C = 2, 1 and 0.7 are 0.25, 1 and (1/0.7)^0.5
         with mpmath.workdps(50):
             for gamma in (0.01, 0.08, 0.3):
                 for epsilon, depth in [(0.5, 3), (2.0, 7)]:
@@ -86,39 +92,57 @@ class TestErrorBounds:
                             t2 = mpmath.exp(-(mpmath.exp(m) - 1) ** 2 * gamma**2 * n
                                             / (4 * (mpmath.exp(m) + 1) * mpmath.exp(m)))
                             ref = float(t1 + t2 + mpmath.mpf(2) ** -depth)
-                            got = error_bound_fixed(gamma, epsilon, depth, n, alpha, c)
+                            config = ProtocolConfig(epsilon, depth, gamma, n)
+                            got = error_bound(beta_model(alpha, c), config, "fixed")
                             assert got.value == pytest.approx(ref, rel=1e-11)
                             for term in (got.quantile_term, got.noise_term,
                                          got.discretization_term):
                                 assert 0.0 <= term <= got.value
 
     def test_vanishes_in_the_joint_limit(self):
-        # gamma -> 0 and depth -> inf kill the first and last terms; the
+        # gamma -> 0 and depth -> its cap kill the first and last terms; the
         # noise term needs gamma^2 N -> inf as well (alone, gamma -> 0
         # drives it to 1, not 0)
-        b = error_bound_fixed(gamma=1e-6, epsilon=1.0, depth=400, n=10**24,
-                              alpha=1.0, c=1.0)
+        config = ProtocolConfig(1.0, MAX_DEPTH, 1e-6, 10**24)
+        b = error_bound(BetaScaled(1.0, 1.0, -1.0, 1.0), config, "fixed")
         assert b.value < 1e-5
         assert b.noise_term < 1e-12
 
     def test_applicability_flag(self):
-        wide = error_bound_fixed(0.05, 1.0, 5, 100, 1.0, 1.0, support_width=2.0)
-        narrow = error_bound_fixed(0.4, 1.0, 5, 100, 1.0, 1.0, support_width=0.5)
-        unchecked = error_bound_fixed(0.05, 1.0, 5, 100, 1.0, 1.0)
+        # a beta(1, 1) model's C (x_max - x_min) is 1 at any width
+        model = BetaScaled(1.0, 1.0, -1.0, 2.0)
+        wide = error_bound(model, ProtocolConfig(1.0, 5, 0.05, 100), "fixed")
+        narrow = error_bound(model, ProtocolConfig(1.0, 5, 0.6, 100), "fixed")
         assert wide.applicable is True
         assert narrow.applicable is False
-        assert unchecked.applicable is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("setting", ["fixed", "iid"])
+    @pytest.mark.parametrize("model, gamma", [
+        (TruncNormal(0.0, 0.02, -1.0, -0.7), 0.1),  # C = 0
+        (BetaScaled(0.005, 1.0, -1.0, 0.3), 100.0),  # (2 gamma / C)^200 leaves float64
+        (BetaScaled(2000.0, 1.0, -1.0, 2.0), 0.1),  # delta^alpha leaves float64
+    ], ids=["zero_c", "quantile_overflow", "constant_overflow"])
+    def test_unbounded_quantile_term_is_inf(self, model, gamma, setting):
+        b = error_bound(model, ProtocolConfig(1.0, 5, gamma, 100), setting)
+        assert b.quantile_term == b.value == math.inf
+        assert b.applicable is False
+        assert type(b.noise_term) is type(b.discretization_term) is float
+
+    def test_unknown_setting_rejected(self):
+        with pytest.raises(ValueError, match="setting"):
+            error_bound(BetaScaled(1.0, 1.0, -1.0, 2.0), ProtocolConfig(1.0, 5, 0.05, 100), "x")
 
     def test_iid_alpha_one_reduces_to_ceiling_ratio(self):
         gamma, n, c = 0.05, 4096, 1.0 / 0.3
-        b = error_bound_iid(gamma, 1.0, 5, n, 1.0, c)
+        b = error_bound(beta_model(1.0, c), ProtocolConfig(1.0, 5, gamma, n), "iid")
         k = math.ceil(2 * gamma * n)
         assert b.quantile_term == pytest.approx(2 * (1 / c) * k / (n + 1), rel=1e-12)
 
     def test_iid_shares_noise_and_discretization_terms(self):
-        args = dict(gamma=0.03, epsilon=2.0, depth=6, n=512, alpha=1.5, c=0.8)
-        fixed = error_bound_fixed(**args)
-        iid = error_bound_iid(**args)
+        model, config = beta_model(1.5, 0.8), ProtocolConfig(2.0, 6, 0.03, 512)
+        fixed = error_bound(model, config, "fixed")
+        iid = error_bound(model, config, "iid")
         assert iid.noise_term == fixed.noise_term
         assert iid.discretization_term == fixed.discretization_term
 
@@ -134,19 +158,11 @@ class TestErrorBounds:
     def test_empirical_error_below_fixed_bound(self):
         # statistical check: worst-case mean error of actual runs on a
         # uniform cohort stays under the closed form when it applies
-        from ldpmin.datagen import BetaScaled, fatness_constant, fixed_cohort
-        from ldpmin.params import params_known_alpha
-        from ldpmin.protocol import ProtocolConfig, run_private_min
-
         model = BetaScaled(1.0, 1.0, -1.0, 2.0)
-        c, x_bar = fatness_constant(model)
-        n, epsilon = 4096, 4.0
-        schedule = params_known_alpha(n, 1.0, epsilon)
-        bound = error_bound_fixed(schedule.gamma, epsilon, schedule.depth, n,
-                                  1.0, c, support_width=x_bar - model.x_min)
+        config = params_known_alpha(4096, 1.0, 4.0)
+        bound = error_bound(model, config, "fixed")
         assert bound.applicable
-        cohort = fixed_cohort(model, n)
-        config = ProtocolConfig(epsilon, schedule.depth, schedule.gamma, n)
+        cohort = fixed_cohort(model, config.n)
         rng = make_rng(21)
         errs = [abs(run_private_min(cohort, config, rng).estimate - model.x_min)
                 for _ in range(100)]

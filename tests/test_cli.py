@@ -1,5 +1,9 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import math
 import platform
 import threading
 from pathlib import Path
@@ -9,7 +13,8 @@ import pytest
 import scipy
 
 from ldpmin import analysis, cli, harness
-from ldpmin.net import run_client
+from ldpmin.net import MinServer, format_real, run_client
+from ldpmin.protocol import ProtocolConfig
 
 # 2^59 float64 values are 4 EiB, an allocation any 64-bit host refuses at once
 UNALLOCATABLE_N = "576460752303423488"
@@ -96,6 +101,12 @@ class TestSimulate:
         ])
         assert code == 2
         assert out == "" and err.startswith("error:") and "[-1, 1]" in err
+
+    def test_nan_placement_is_usage_error(self, capsys):
+        code, _, err = run_main(capsys, ["simulate", "--n", "10", "--x-min", "nan",
+                                         "--epsilon", "1", "--depth", "3", "--gamma", "0.3"])
+        assert code == 2
+        assert "infeasible placement x_min=nan" in err
 
     def test_depth_past_float_resolution_rejected(self, capsys):
         code, out, err = run_main(capsys, [
@@ -215,6 +226,17 @@ class TestExperiment:
         assert "line 3" in err
         assert not out_dir.exists()
 
+    def test_nan_placement_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(TINY_CFG.replace("xmin_grid = auto", "xmin_grid = nan"), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert "infeasible placement x_min=nan" in err
+        assert not out_dir.exists()
+        with pytest.raises(harness.ConfigError):
+            harness.parse_experiment_config(cfg)
+
     def test_repeated_epsilon_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "repeat.cfg"
         cfg.write_text(TINY_CFG.replace("epsilon_grid = 2", "epsilon_grid = 2, 2.0"),
@@ -264,9 +286,34 @@ class TestExperiment:
         code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
         assert code == 0 and err == ""
         assert sorted(p.name for p in out_dir.iterdir()) == [
-            "guideline_eps2.csv", "results.csv", "run_meta.json"]
+            "bounds.csv", "guideline_eps2.csv", "results.csv", "run_meta.json"]
         rows = (out_dir / "results.csv").read_text().strip().splitlines()
         assert sum(f",{epsilon}," in row for row in rows) == 3 * 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("setting", ["fixed", "iid"])
+    @pytest.mark.parametrize("edits", [
+        # C = 0: the density at x_min = -1 lies 50 sigma below mu, past float64
+        {"model = uniform": "model = truncnorm\nmu = 0\nsigma = 0.02",
+         "xmin_grid = auto": "xmin_grid = -1"},
+        # (2 gamma / C)^(1/alpha) leaves float64
+        {"model = uniform": "model = beta\nalpha = 0.005", "epsilon_grid = 2": "epsilon_grid = 0.01"},
+    ], ids=["zero_c", "overflow"])
+    def test_unbounded_cells_are_written_as_inf(self, capsys, tmp_path, edits, setting):
+        text = TINY_CFG.replace("setting = fixed", f"setting = {setting}")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "unbounded.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 0 and err == ""
+        rows = read_csv(out_dir / "bounds.csv")
+        assert [int(row["n"]) for row in rows] == [64, 128, 256]
+        for row in rows:
+            assert float(row["quantile_term"]) == float(row["bound"]) == math.inf
+            assert float(row["err_over_bound"]) == 0.0
+            assert row["applicable"] == "False"
 
     def test_cohort_too_large_to_allocate_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "huge.cfg"
@@ -306,18 +353,67 @@ STOCK_DIGESTS = {
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+@pytest.fixture(scope="module")
+def stock_run(tmp_path_factory):
+    """Runs a bundled config's sweep once per module: name -> (exit code, stderr, out dir)."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            out_dir, err = tmp_path_factory.mktemp(name), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["experiment", str(CONFIG_DIR / f"{name}.cfg"),
+                                 "--out-dir", str(out_dir)])
+            runs[name] = code, err.getvalue(), out_dir
+        return runs[name]
+
+    return run
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.mark.parametrize("name", sorted(STOCK_DIGESTS))
-def test_stock_results_are_unchanged(capsys, tmp_path, name):
+def test_stock_results_are_unchanged(stock_run, name):
     versions = {"numpy": np.__version__, "scipy": scipy.__version__,
                 "python": platform.python_version()}
     if versions != STOCK_VERSIONS:
         pytest.skip(f"digests recorded with {STOCK_VERSIONS}, running {versions}")
-    out_dir = tmp_path / name
-    code, _, err = run_main(capsys, ["experiment", str(CONFIG_DIR / f"{name}.cfg"),
-                                     "--out-dir", str(out_dir)])
+    code, err, out_dir = stock_run(name)
     assert code == 0 and err == ""
     digest = hashlib.sha256((out_dir / "results.csv").read_bytes()).hexdigest()
     assert digest == STOCK_DIGESTS[name]
+
+
+# max/min of err/bound over a config's applicable cells, fixed before any run
+# (measured: 1.058 uniform, 1.058 beta(2,1), 1.008 baseline_eps1)
+BOUND_RATIO_WINDOW = 1.25
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_DIGESTS))
+def test_stock_errors_lie_within_their_bounds(stock_run, name):
+    code, err, out_dir = stock_run(name)
+    assert code == 0 and err == ""
+    errs = {(row["n"], row["epsilon"], row["x_min"]): float(row["mean_abs_err"])
+            for row in read_csv(out_dir / "results.csv")
+            if row["mechanism"] == harness.MECH_BINARY_SEARCH}
+    rows = read_csv(out_dir / "bounds.csv")
+    assert [(row["n"], row["epsilon"], row["x_min"]) for row in rows] == list(errs)
+    ratios = []
+    for row in rows:
+        key = (row["n"], row["epsilon"], row["x_min"])
+        # plain floats: numpy 2 would print an np.float64 as "np.float64(...)"
+        assert all(math.isfinite(float(row[col])) for col in cli.BOUND_COLUMNS
+                   if col != "applicable"), row
+        assert float(row["err_over_bound"]) == errs[key] / float(row["bound"])
+        assert row["applicable"] in ("True", "False")
+        if row["applicable"] == "True":
+            assert errs[key] <= float(row["bound"]), row
+            ratios.append(float(row["err_over_bound"]))
+    assert len(ratios) >= 2
+    assert max(ratios) / min(ratios) <= BOUND_RATIO_WINDOW
 
 
 class TestFit:
@@ -453,6 +549,30 @@ class TestServeAndClient:
         assert holder[1] == holder[2] == 0.375
         final = json.loads(out_path.read_text().strip().splitlines()[-1])
         assert final["estimate"] == 0.375
+
+    def test_client_without_seed_completes_a_session(self, capsys):
+        # no --seed: each client's randomized response is seeded from OS entropy
+        server = MinServer(ProtocolConfig(epsilon=1.0, depth=4, gamma=0.3, n=2), 2,
+                           round_timeout=10.0)
+        host, port = server.address
+        holder = {}
+        serve = threading.Thread(target=lambda: holder.setdefault("transcript", server.run()))
+        serve.start()
+
+        def client(i, value):
+            holder[i] = cli.main(["client", "--connect", f"{host}:{port}",
+                                  "--value", value, "--timeout", "10"])
+
+        clients = [threading.Thread(target=client, args=(i, v))
+                   for i, v in enumerate(["0.25", "-0.5"])]
+        for t in clients:
+            t.start()
+        for t in clients + [serve]:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        estimate = holder["transcript"].estimate
+        assert holder[0] == holder[1] == 0
+        assert capsys.readouterr().out.split() == [format_real(estimate)] * 2
 
     def test_serve_depth_past_float_resolution_rejected_before_binding(self, capsys):
         code, out, err = run_main(capsys, [
