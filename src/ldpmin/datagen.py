@@ -6,14 +6,16 @@ and ``fat_alpha``.  The two models are a rescaled beta distribution
 tail) and a truncated normal (always exponent 1, like any truncated
 density).
 
-Cohorts come in two flavours:
+Cohorts come in two flavours, and a search reads only their counts
+(``count_at_or_below``), which each flavour gives without its values at a
+cost that does not grow with N:
 
 * fixed: user i holds the deterministic quantile F*((i-1)/(N-1)), so the
-  empirical CDF of the cohort interpolates F exactly;
-* iid: users hold independent draws from F.  A search reads only counts
-  (``count_at_or_below``), and :class:`IidCounts` draws an iid cohort's counts
-  from their exact law without its values, at a cost that does not grow with N;
-  :func:`iid_cohort` evaluates the quantile only at the levels a reader reads.
+  empirical CDF of the cohort interpolates F exactly; :class:`FixedCounts`
+  evaluates the quantile only next to the user a count ends at;
+* iid: users hold independent draws from F.  :class:`IidCounts` draws an iid
+  cohort's counts from their exact law; :func:`iid_cohort` evaluates the
+  quantile only at the levels a reader reads.
 
 Quantiles of both models are closed forms (the inverse incomplete
 beta function; the normal quantile on the side of the mean where the
@@ -38,7 +40,19 @@ def _check_levels(qs: np.ndarray) -> None:
 
 
 def _clamped_quantile(model, q):
-    """The model's closed-form inverse CDF, clamped to the support and exact at its endpoints."""
+    """The model's closed-form inverse CDF, clamped to the support and exact at its endpoints.
+
+    A float level (one count's probe) skips the array calls and gives the
+    array path's result bit for bit.
+    """
+    if isinstance(q, float):
+        if not 0.0 <= q <= 1.0:  # false for a NaN
+            raise ValueError("quantile levels must lie in [0, 1]")
+        if q == 0.0:
+            return model.x_min
+        if q == 1.0:
+            return model.x_max
+        return _clip(float(model._inverse(q)), model.x_min, model.x_max)
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     _check_levels(qs)
     x = np.clip(model._inverse(qs), model.x_min, model.x_max)
@@ -226,6 +240,49 @@ def fixed_cohort(model, n: int) -> Cohort:
         raise ValueError(f"fixed cohorts need n >= 2, got {n}")
     levels = np.arange(n, dtype=float) / (n - 1)
     return Cohort(model.quantile(levels), "fixed")
+
+
+class FixedCounts:
+    """Counts of the fixed cohort ``fixed_cohort(model, n)`` without its values.
+
+    Value i is ``model.quantile(i / (n - 1))``, at the very levels
+    ``fixed_cohort`` uses, evaluated only where a count probes it.  A count at
+    tau starts from i = floor((n - 1) F(tau)) and walks to the first value
+    above tau in doubling strides, then bisects the last stride: O(1) quantiles
+    where values are distinct, O(log n) where many users share one.  While the
+    quantile is nondecreasing that is the cohort's own count.  The cohort is
+    deterministic, so each tau is counted once for every run that reads it.
+    """
+
+    def __init__(self, model, n: int):
+        if n < 2:
+            raise ValueError(f"fixed cohorts need n >= 2, got {n}")
+        self._model, self.n, self._counts = model, n, {}
+
+    def count_at_or_below(self, tau: float) -> int:
+        if tau not in self._counts:
+            self._counts[tau] = self._first_above(tau)
+        return self._counts[tau]
+
+    def _first_above(self, tau: float) -> int:
+        n, quantile = self.n, self._model.quantile
+
+        def above(i):  # value i > tau, with value -1 below and value n above everything
+            return i >= n or (i >= 0 and quantile(i / (n - 1)) > tau)
+
+        i = min(max(math.floor((n - 1) * self._model.cdf(tau)), 0), n - 1)
+        lo, hi = (i - 1, i) if above(i) else (i, i + 1)
+        stride = 1
+        while above(lo):  # walk down ...
+            stride *= 2
+            lo, hi = lo - stride, lo
+        while not above(hi):  # ... or up, until value lo <= tau < value hi
+            stride *= 2
+            lo, hi = hi, hi + stride
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        return hi
 
 
 def iid_cohort(model, n: int, rng) -> DeferredCohort:

@@ -6,6 +6,7 @@ import json
 import math
 import platform
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -316,14 +317,35 @@ class TestExperiment:
             assert row["applicable"] == "False"
 
     def test_cohort_too_large_to_allocate_exits_3(self, capsys, tmp_path):
+        # of a fixed sweep, only the Laplace baseline reads values, so only it
+        # builds the cohort
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text(TINY_CFG.replace("n_grid = 64, 128, 256", f"n_grid = {UNALLOCATABLE_N}"),
-                       encoding="utf-8")
+        cfg.write_text(TINY_CFG.replace("n_grid = 64, 128, 256", f"n_grid = {UNALLOCATABLE_N}")
+                       .replace("binary_search, nonprivate", "laplace"), encoding="utf-8")
         out_dir = tmp_path / "out"
         code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
         assert code == 3
         assert err.startswith("error:")
         assert not out_dir.exists()
+
+    def test_wide_fixed_sweep_builds_no_cohort(self, capsys, tmp_path):
+        # 2^30 users: a materialized cohort would take 8 GiB; the searches
+        # count from the model instead (measured 0.01 s in-process)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(TINY_CFG.replace("n_grid = 64, 128, 256", "n_grid = 1073741824")
+                       .replace("reps = 4", "reps = 5").replace("xmin_grid = auto", "xmin_grid = -1"),
+                       encoding="utf-8")
+        out_dir = tmp_path / "out"
+        start = time.perf_counter()
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert time.perf_counter() - start < 10.0
+        assert code == 0 and err == ""
+        results = read_csv(out_dir / "results.csv")
+        assert [(r["n"], r["mechanism"]) for r in results] == [
+            ("1073741824", "binary_search"), ("1073741824", "nonprivate")]
+        [bound] = read_csv(out_dir / "bounds.csv")
+        assert bound["applicable"] == "True"
+        assert float(results[0]["mean_abs_err"]) <= float(bound["bound"])
 
     def test_unknown_alpha_base_is_an_unknown_mode(self, capsys, tmp_path):
         cfg = tmp_path / "base.cfg"

@@ -1,19 +1,24 @@
+import functools
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from ldpmin.datagen import (
     BetaScaled,
     Cohort,
+    FixedCounts,
     IidCounts,
     TruncNormal,
     fatness_constant,
     fixed_cohort,
     iid_cohort,
 )
+from ldpmin.harness import ModelTemplate
 
 from conftest import make_rng
 
@@ -132,6 +137,24 @@ class TestQuantileInversion:
         with pytest.raises(ValueError):
             TruncNormal(0.0, 1.0, -1.0, 1.0).quantile(np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("model", PARAMETRIC_MODELS + FAR_TAIL_MODELS, ids=repr)
+    @settings(max_examples=50, deadline=None)
+    @given(levels=st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_float_path_matches_array_path_bit_for_bit(self, model, levels):
+        # a count probes one level at a time, without arrays; its value must be
+        # the one fixed_cohort holds
+        for q in [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, *levels]:
+            one, many = model.quantile(q), model.quantile(np.array([q]))[0]
+            assert type(one) is float
+            assert struct.pack("<d", one) == struct.pack("<d", many), q
+
+    @pytest.mark.parametrize("model", PARAMETRIC_MODELS[:1] + PARAMETRIC_MODELS[-1:], ids=repr)
+    @pytest.mark.parametrize("q", [math.nan, -0.1, 1.1])
+    def test_float_level_refused_as_an_array_level(self, model, q):
+        for level in (q, np.array([q])):
+            with pytest.raises(ValueError, match=r"quantile levels must lie in \[0, 1\]"):
+                model.quantile(level)
+
 
 class TestFarTailTruncNormal:
     def test_cdf_is_finite_and_matches_scipy(self):
@@ -203,6 +226,99 @@ class TestFixedCohort:
         cohort = fixed_cohort(model, n)
         assert np.all(cohort.values[:-1] <= cohort.values[1:])
         assert cohort._sorted is cohort.values  # no sorted copy is made
+
+
+# the harness's templates at their stock placements: uniform, a thin and a fat
+# left tail, and a truncnorm whose supports lie below, then above, mu
+COUNT_TEMPLATES = [
+    ModelTemplate("uniform", delta=0.3),
+    ModelTemplate("beta", alpha=2.0, beta=1.0, delta=0.3),
+    ModelTemplate("beta", alpha=0.5, beta=3.0, delta=0.3),
+    ModelTemplate("truncnorm", delta=0.6, mu=0.9, sigma=0.3),
+    ModelTemplate("truncnorm", delta=0.6, mu=-0.9, sigma=0.3),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def stock_cohort(template, x_min, n):
+    return fixed_cohort(template.place(x_min), n)
+
+
+def tau_specs(n):
+    """Taus anywhere, at bisection midpoints or the ends, and (i, below): on value
+    i of a cohort of n, or on the float just below it."""
+    midpoint = st.integers(1, 53).flatmap(
+        lambda t: st.integers(0, 2 ** (t - 1) - 1).map(lambda j: (2 * j + 1) * 2.0 ** (1 - t) - 1.0))
+    return st.lists(st.one_of(st.floats(-1.0, 1.0), midpoint, st.sampled_from([-1.0, 1.0]),
+                              st.tuples(st.integers(0, n - 1), st.booleans())),
+                    min_size=1, max_size=12)
+
+
+def tau_at(spec, values):
+    if isinstance(spec, float):
+        return spec
+    i, below = spec
+    return float(np.nextafter(values[i], -1.0)) if below else float(values[i])
+
+
+class CountingModel:
+    """A model that counts its cdf and quantile calls."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def cdf(self, x):
+        self.calls += 1
+        return self.model.cdf(x)
+
+    def quantile(self, q):
+        self.calls += 1
+        return self.model.quantile(q)
+
+
+class TestFixedCounts:
+    @pytest.mark.parametrize("n", [2, 3, 1024, 4097, 65536])
+    @pytest.mark.parametrize("template", COUNT_TEMPLATES, ids=repr)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_counts_are_the_materialized_cohorts(self, template, n, data):
+        specs = data.draw(tau_specs(n))
+        for x_min in template.default_xmin_grid():
+            cohort = stock_cohort(template, x_min, n)
+            counts = FixedCounts(template.place(x_min), n)
+            for tau in (tau_at(spec, cohort.values) for spec in specs):
+                k = counts.count_at_or_below(tau)
+                assert type(k) is int
+                assert k == cohort.count_at_or_below(tau), (x_min, tau)
+
+    def test_a_known_tau_costs_no_model_call(self):
+        model = CountingModel(ModelTemplate("beta", alpha=2.0, beta=1.0, delta=0.3).place(-1.0))
+        counts = FixedCounts(model, 4097)
+        taus = [-0.5, -0.75, -0.875, -1.0, 1.0, -0.8125]
+        ks = [counts.count_at_or_below(tau) for tau in taus]
+        calls = model.calls
+        assert calls > 0
+        assert [counts.count_at_or_below(tau) for tau in reversed(taus)] == ks[::-1]
+        assert model.calls == calls
+
+    def test_shared_values_cost_log_n_quantiles(self):
+        # alpha = 0.05 piles a sixth of the users on the support's first two
+        # floats, so a tau there is hundreds to thousands of users away from
+        # F(tau)'s guess (10712 at the minimum, 228 one float above it)
+        n = 65536
+        cohort = fixed_cohort(BetaScaled(0.05, 1.0, -1.0, 0.3), n)
+        for tau in (-1.0, float(np.nextafter(-1.0, 0.0))):
+            model = CountingModel(BetaScaled(0.05, 1.0, -1.0, 0.3))
+            assert FixedCounts(model, n).count_at_or_below(tau) == cohort.count_at_or_below(tau)
+            assert model.calls <= 2 + 2 * math.ceil(math.log2(n))
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_rejects_tiny_n(self, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            FixedCounts(BetaScaled(1.0, 1.0, -1.0, 2.0), n)
 
 
 class ZeroRng:
