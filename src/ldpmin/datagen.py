@@ -11,8 +11,9 @@ Cohorts come in two flavours, and a search reads only their counts
 cost that does not grow with N:
 
 * fixed: user i holds the deterministic quantile F*((i-1)/(N-1)), so the
-  empirical CDF of the cohort interpolates F exactly; :class:`FixedCounts`
-  evaluates the quantile only next to the user a count ends at;
+  empirical CDF of the cohort interpolates F exactly; :func:`fixed_cohort`
+  evaluates the quantile only next to the user a count ends at, or at the
+  users a reader reads;
 * iid: users hold independent draws from F.  :class:`IidCounts` draws an iid
   cohort's counts from their exact law; :func:`iid_cohort` evaluates the
   quantile only at the levels a reader reads.
@@ -198,14 +199,16 @@ class Cohort:
 
     @functools.cached_property
     def _sorted(self) -> np.ndarray:
-        v = self.values  # a fixed cohort's are sorted already; checking costs less than np.sort
-        return v if np.all(v[:-1] <= v[1:]) else np.sort(v)
+        return np.sort(self.values)
 
     def count_at_or_below(self, tau: float) -> int:
-        """Users with value <= tau, by binary search in the sorted values, once per tau."""
+        """Users with value <= tau, counted once per tau."""
         if tau not in self._counts:
-            self._counts[tau] = int(np.searchsorted(self._sorted, tau, side="right"))
+            self._counts[tau] = self._count(tau)
         return self._counts[tau]
+
+    def _count(self, tau: float) -> int:  # by binary search in the sorted values
+        return int(np.searchsorted(self._sorted, tau, side="right"))
 
     def negated(self) -> "Cohort":
         return Cohort(-self.values, self.setting)
@@ -230,47 +233,34 @@ class DeferredCohort(Cohort):
         return self.model.quantile(self.levels[idx])
 
 
-def fixed_cohort(model, n: int) -> Cohort:
-    """Deterministic cohort x_(i) = F*((i-1)/(N-1)), i = 1..N, sorted.
+class FixedCohort(Cohort):
+    """The fixed cohort of ``model``: value i is ``model.quantile(i / (n - 1))``,
+    i = 0..n-1, evaluated only where read.
 
-    The first value is the support minimum exactly and the last the support
-    maximum.
-    """
-    if n < 2:
-        raise ValueError(f"fixed cohorts need n >= 2, got {n}")
-    levels = np.arange(n, dtype=float) / (n - 1)
-    return Cohort(model.quantile(levels), "fixed")
-
-
-class FixedCounts:
-    """Counts of the fixed cohort ``fixed_cohort(model, n)`` without its values.
-
-    Value i is ``model.quantile(i / (n - 1))``, at the very levels
-    ``fixed_cohort`` uses, evaluated only where a count probes it.  A count at
-    tau starts from i = floor((n - 1) F(tau)) and walks to the first value
-    above tau in doubling strides, then bisects the last stride: O(1) quantiles
-    where values are distinct, O(log n) where many users share one.  While the
-    quantile is nondecreasing that is the cohort's own count.  The cohort is
-    deterministic, so each tau is counted once for every run that reads it.
+    A count at tau starts from i = floor((n - 1) F(tau)) and walks to the first
+    value above tau in doubling strides, then bisects the last stride: O(1)
+    quantiles where values are distinct, O(log n) where many users share one.
+    While the quantile is nondecreasing that is the count of ``values``.
     """
 
     def __init__(self, model, n: int):
-        if n < 2:
-            raise ValueError(f"fixed cohorts need n >= 2, got {n}")
-        self._model, self.n, self._counts = model, n, {}
+        self.model, self.n, self.setting, self._counts = model, n, "fixed", {}
+        self.bounds = (model.x_min, model.x_max)
 
-    def count_at_or_below(self, tau: float) -> int:
-        if tau not in self._counts:
-            self._counts[tau] = self._first_above(tau)
-        return self._counts[tau]
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self.values_at(np.arange(self.n))
 
-    def _first_above(self, tau: float) -> int:
-        n, quantile = self.n, self._model.quantile
+    def values_at(self, idx: np.ndarray) -> np.ndarray:
+        return self.model.quantile(idx / (self.n - 1))
+
+    def _count(self, tau: float) -> int:  # the index of the first value above tau
+        n, quantile = self.n, self.model.quantile
 
         def above(i):  # value i > tau, with value -1 below and value n above everything
             return i >= n or (i >= 0 and quantile(i / (n - 1)) > tau)
 
-        i = min(max(math.floor((n - 1) * self._model.cdf(tau)), 0), n - 1)
+        i = min(max(math.floor((n - 1) * self.model.cdf(tau)), 0), n - 1)
         lo, hi = (i - 1, i) if above(i) else (i, i + 1)
         stride = 1
         while above(lo):  # walk down ...
@@ -283,6 +273,17 @@ class FixedCounts:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if above(mid) else (mid, hi)
         return hi
+
+
+def fixed_cohort(model, n: int) -> FixedCohort:
+    """Deterministic cohort x_(i) = F*((i-1)/(N-1)), i = 1..N, sorted.
+
+    The first value is the support minimum exactly and the last the support
+    maximum.
+    """
+    if n < 2:
+        raise ValueError(f"fixed cohorts need n >= 2, got {n}")
+    return FixedCohort(model, n)
 
 
 def iid_cohort(model, n: int, rng) -> DeferredCohort:

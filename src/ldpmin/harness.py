@@ -16,9 +16,9 @@ a cell's part of the key into its pool; ``rep_rng`` mixes in the rep word
 and hashes out the state, 64 reps at a time.  In the i.i.d. setting a
 search's stream gives each round's count (``IidCounts``), then its answers;
 a baseline's gives the users' uniforms, then the noise, and a value is read
-only where the minimum can fall.  A fixed placement's searches count from the
-model (``FixedCounts``, each tau once for all repetitions); only its baseline
-builds the cohort's N values.
+only where the minimum can fall.  A fixed placement's one ``fixed_cohort``
+serves all its repetitions: a search counts from the model, each tau once, and
+a baseline reads only the users that can hold the minimum.
 
 ``ModelTemplate`` and ``ExperimentSpec`` hold every default of a sweep;
 ``parse_experiment_config`` maps each config key to one of their fields.
@@ -34,7 +34,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .datagen import BetaScaled, FixedCounts, IidCounts, TruncNormal, fixed_cohort, iid_cohort
+from .datagen import BetaScaled, IidCounts, TruncNormal, fixed_cohort, iid_cohort
 from .params import choose_params
 from .protocol import ProtocolConfig, baseline_min, run_nonprivate_min, run_private_min
 
@@ -209,8 +209,8 @@ def _errors_for_placement(spec: ExperimentSpec, mechanism: str, config: Protocol
                           x_min: float) -> np.ndarray:
     model = spec.model.place(x_min)
     fixed = spec.setting == "fixed"
-    if fixed:  # only the baseline reads values; a search needs just counts
-        cohort = (fixed_cohort if mechanism == MECH_LAPLACE else FixedCounts)(model, config.n)
+    if fixed:
+        cohort = fixed_cohort(model, config.n)
 
     if mechanism == MECH_NONPRIVATE and fixed:
         # deterministic: one run stands for all repetitions

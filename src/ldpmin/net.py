@@ -29,10 +29,11 @@ t+1 as a duplicate, one after the final RESP goes unread, and a RESP sent
 ahead of QUERY t+1 counts for round t+1.  Garbage, a re-answer or silence
 aborts the session with one ABORT to each client; the estimator assumes a
 fixed cohort size, so the server never re-normalizes mid-protocol.  A
-client answers QUERY rounds 1..depth of the one START it accepted, each
-once and in order, accepts only a finite RESULT in [-1, 1], and ends any
-other line (an unknown name, an empty line) as ``protocol-error``.  Its
-``timeout`` bounds each line, so a session lasts at most depth + 2 of them.
+client answers QUERY rounds 1..depth of the one START it accepted (depth in
+[1, ``MAX_DEPTH``]), each once and in order, accepts only a finite RESULT in
+[-1, 1], and ends any other line (an unknown name, an empty line) as
+``protocol-error``.  Its ``timeout`` bounds each line, so a session lasts at
+most depth + 2 of them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .mechanisms import RoundBudget
 from .mechanisms import unbiased_phi  # noqa: F401 - bench/server.py traces it here
-from .protocol import ProtocolConfig, Transcript, bisect, user_respond
+from .protocol import MAX_DEPTH, ProtocolConfig, Transcript, bisect, user_respond
 
 MAX_LINE = 256  # bytes in one line, newline excluded, that either end reads
 
@@ -241,6 +242,8 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int | None,
                         raise ValueError("a second START")
                     _session_id, depth, epsilon_round = fields
                     depth, budget = int(depth), RoundBudget(float(epsilon_round))
+                    if not 1 <= depth <= MAX_DEPTH:  # as ProtocolConfig holds it
+                        raise ValueError("a depth outside [1, MAX_DEPTH]")
                 elif kind == "QUERY":
                     round_no, tau = fields
                     if budget is None or answered == depth or int(round_no) != answered + 1:
@@ -257,6 +260,6 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int | None,
                     raise ValueError("an unknown message")
             except ValueError:
                 # an overlong, empty or unknown line, undecodable bytes, a wrong
-                # field count, an unparsable number, a bad budget or tau, or a
-                # line out of order
+                # field count, an unparsable number, a bad depth, budget or tau,
+                # or a line out of order
                 raise SessionAborted("protocol-error") from None

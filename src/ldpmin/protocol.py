@@ -41,8 +41,8 @@ from .mechanisms import (
     phi_correction,
     randomized_response,
     rr_keep_probability,
-    rr_respond_many,
 )
+from .mechanisms import rr_respond_many  # noqa: F401 - bench/worker.py traces it here
 
 BRANCH_LEFT = "left"
 BRANCH_RIGHT = "right"
@@ -132,12 +132,6 @@ def user_respond(x: float, tau: float, budget: RoundBudget, rng) -> int:
     return randomized_response(sign(tau - x), budget, rng)
 
 
-def respond_round(values: np.ndarray, tau: float, budget: RoundBudget, rng) -> np.ndarray:
-    """All N sanitized answers for one round, drawn in user-index order."""
-    raw = np.where(tau - values >= 0.0, 1, -1)
-    return rr_respond_many(raw, budget, rng)
-
-
 def bisect(config: ProtocolConfig, round_sum) -> Transcript:
     """The interval walk behind every search.
 
@@ -197,7 +191,7 @@ def run_private_min(counts, config: ProtocolConfig, rng=None, *, user_rngs=None)
         count, binomial = counts.count_at_or_below, rng.binomial
         p_keep, p_flip = config.p_keep, 1.0 - config.p_keep
         def round_sum(t, tau):
-            # respond_round's sum in law: of k raw +1s each is kept w.p. p_keep, of
+            # the N answers' sum in law: of k raw +1s each is kept w.p. p_keep, of
             # n - k raw -1s each is flipped w.p. p_flip; a draw over no users is skipped
             k = count(tau)
             plus = (binomial(k, p_keep) if k else 0) + (binomial(n - k, p_flip) if k != n else 0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpmin.mechanisms import PrivacyBudget, RoundBudget, laplace_scale
+from ldpmin.mechanisms import PrivacyBudget, RoundBudget, laplace_scale, rr_respond_many
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -81,6 +81,13 @@ def laplace_sanitize(x: float, budget: PrivacyBudget, rng) -> float:
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [-1, 1], got {x!r}")
     return x + _laplace_from_uniform(rng.random(), laplace_scale(budget))
+
+
+def respond_round(values: np.ndarray, tau: float, budget: RoundBudget, rng) -> np.ndarray:
+    """Reference for ``run_private_min``'s binomial round sum: all N sanitized
+    answers for one round, drawn in user-index order."""
+    raw = np.where(tau - values >= 0.0, 1, -1)
+    return rr_respond_many(raw, budget, rng)
 
 
 def always_two_binomials(counts, config, rng):

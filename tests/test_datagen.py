@@ -11,7 +11,6 @@ from scipy import special, stats
 from ldpmin.datagen import (
     BetaScaled,
     Cohort,
-    FixedCounts,
     IidCounts,
     TruncNormal,
     fatness_constant,
@@ -225,7 +224,6 @@ class TestFixedCohort:
     def test_values_are_nondecreasing_so_counts_read_them_unsorted(self, model, n):
         cohort = fixed_cohort(model, n)
         assert np.all(cohort.values[:-1] <= cohort.values[1:])
-        assert cohort._sorted is cohort.values  # no sorted copy is made
 
 
 # the harness's templates at their stock placements: uniform, a thin and a fat
@@ -241,7 +239,8 @@ COUNT_TEMPLATES = [
 
 @functools.lru_cache(maxsize=None)
 def stock_cohort(template, x_min, n):
-    return fixed_cohort(template.place(x_min), n)
+    """The fixed cohort's values, counted by binary search: the walk's reference."""
+    return Cohort(fixed_cohort(template.place(x_min), n).values, "fixed")
 
 
 def tau_specs(n):
@@ -279,7 +278,7 @@ class CountingModel:
         return self.model.quantile(q)
 
 
-class TestFixedCounts:
+class TestFixedCohortCounts:
     @pytest.mark.parametrize("n", [2, 3, 1024, 4097, 65536])
     @pytest.mark.parametrize("template", COUNT_TEMPLATES, ids=repr)
     @settings(max_examples=20, deadline=None)
@@ -288,7 +287,7 @@ class TestFixedCounts:
         specs = data.draw(tau_specs(n))
         for x_min in template.default_xmin_grid():
             cohort = stock_cohort(template, x_min, n)
-            counts = FixedCounts(template.place(x_min), n)
+            counts = fixed_cohort(template.place(x_min), n)
             for tau in (tau_at(spec, cohort.values) for spec in specs):
                 k = counts.count_at_or_below(tau)
                 assert type(k) is int
@@ -296,7 +295,7 @@ class TestFixedCounts:
 
     def test_a_known_tau_costs_no_model_call(self):
         model = CountingModel(ModelTemplate("beta", alpha=2.0, beta=1.0, delta=0.3).place(-1.0))
-        counts = FixedCounts(model, 4097)
+        counts = fixed_cohort(model, 4097)
         taus = [-0.5, -0.75, -0.875, -1.0, 1.0, -0.8125]
         ks = [counts.count_at_or_below(tau) for tau in taus]
         calls = model.calls
@@ -309,16 +308,16 @@ class TestFixedCounts:
         # floats, so a tau there is hundreds to thousands of users away from
         # F(tau)'s guess (10712 at the minimum, 228 one float above it)
         n = 65536
-        cohort = fixed_cohort(BetaScaled(0.05, 1.0, -1.0, 0.3), n)
+        cohort = Cohort(fixed_cohort(BetaScaled(0.05, 1.0, -1.0, 0.3), n).values, "fixed")
         for tau in (-1.0, float(np.nextafter(-1.0, 0.0))):
             model = CountingModel(BetaScaled(0.05, 1.0, -1.0, 0.3))
-            assert FixedCounts(model, n).count_at_or_below(tau) == cohort.count_at_or_below(tau)
+            assert fixed_cohort(model, n).count_at_or_below(tau) == cohort.count_at_or_below(tau)
             assert model.calls <= 2 + 2 * math.ceil(math.log2(n))
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_rejects_tiny_n(self, n):
         with pytest.raises(ValueError, match="n >= 2"):
-            FixedCounts(BetaScaled(1.0, 1.0, -1.0, 2.0), n)
+            fixed_cohort(BetaScaled(1.0, 1.0, -1.0, 2.0), n)
 
 
 class ZeroRng:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ldpmin.datagen import Cohort
 from ldpmin.net import MinServer, SessionAborted, run_client
-from ldpmin.protocol import ProtocolConfig, run_private_min
+from ldpmin.protocol import MAX_DEPTH, ProtocolConfig, run_private_min
 
 from conftest import make_rng
 
@@ -245,9 +245,13 @@ class TestFailurePaths:
         ([b"START s1 1 1.0", b"Q" * 4096], 0),
         ([b"START s1 1 0.5", b"NOOP"], 0),
         ([b"START s1 1 0.5", b""], 0),
+        ([b"START s1 -1 0.5", b"QUERY 1 0.5"], 0),
+        ([b"START s1 0 0.5", b"QUERY 1 0.5"], 0),
+        ([f"START s1 {MAX_DEPTH + 1} 0.5".encode(), b"QUERY 1 0.5"], 0),
     ], ids=["short-start", "short-query", "bare-result", "past-depth", "replay", "skip",
             "query-before-start", "second-start", "nan-result", "result-outside",
-            "infinite-result", "undecodable", "overlong", "unknown-token", "empty-line"])
+            "infinite-result", "undecodable", "overlong", "unknown-token", "empty-line",
+            "negative-depth", "zero-depth", "past-max-depth"])
     def test_malformed_server_line_is_protocol_error(self, lines, resps):
         # the client answers only rounds 1..depth of the one START it accepted
         outcome, received = fake_session(lines)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ldpmin.datagen import BetaScaled, Cohort, IidCounts, TruncNormal, iid_cohort
+from ldpmin.datagen import BetaScaled, Cohort, IidCounts, TruncNormal, fixed_cohort, iid_cohort
 from ldpmin.mechanisms import (
     PrivacyBudget,
     RoundBudget,
@@ -21,7 +21,6 @@ from ldpmin.protocol import (
     ProtocolConfig,
     baseline_min,
     bisect,
-    respond_round,
     run_nonprivate_min,
     run_private_max,
     run_private_min,
@@ -34,6 +33,7 @@ from conftest import (
     CountingRng,
     always_two_binomials,
     make_rng,
+    respond_round,
     rr_flip_probability,
 )
 
@@ -560,3 +560,20 @@ class TestBaseline:
         estimate = baseline_min(iid_cohort(model, 2**20, rng), PrivacyBudget(1.0), rng)
         assert estimate < -1.0
         assert 1 <= model.levels < 100
+
+    @pytest.mark.parametrize("epsilon", [1.0, 8.0, math.inf], ids=["eps1", "eps8", "epsinf"])
+    def test_fixed_baseline_reads_few_values(self, epsilon):
+        # a fixed cohort evaluates the quantile only at the users whose report
+        # can be the minimum, and gives the bits of the baseline on all its
+        # values; at eps = inf no noise tells the users apart, so all are read
+        from conftest import CountingModel
+
+        model, n = BetaScaled(2.0, 1.0, -1.0, 0.3), 4097
+        full = Cohort(fixed_cohort(model, n).values, "fixed")
+        budget = PrivacyBudget(epsilon)
+        for seed in range(6):
+            counting = CountingModel(model)
+            got = np.float64(baseline_min(fixed_cohort(counting, n), budget, make_rng(seed)))
+            expected = np.float64(baseline_min(full, budget, make_rng(seed)))
+            assert got.tobytes() == expected.tobytes(), (seed, got, expected)
+            assert counting.levels < 64 if math.isfinite(epsilon) else counting.levels == n

@@ -13,11 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # name -> why it stays without a caller
-ALLOWED = {
-    "respond_round": "the test reference for the binomial round sum, and the only importer "
-                     "of protocol.rr_respond_many, which a bench hook resolves; it goes "
-                     "when the bench hooks are reworked (ROADMAP item 2)",
-}
+ALLOWED = {}
 
 
 def names_in(tree):
