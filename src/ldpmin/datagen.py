@@ -197,15 +197,20 @@ class Cohort:
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.values[idx]
 
+    def min_candidates(self) -> np.ndarray:
+        """Indices of the users that may hold the smallest value, found reading no value."""
+        return np.arange(self.n)
+
     @functools.cached_property
     def _sorted(self) -> np.ndarray:
         return np.sort(self.values)
 
     def count_at_or_below(self, tau: float) -> int:
         """Users with value <= tau, counted once per tau."""
-        if tau not in self._counts:
-            self._counts[tau] = self._count(tau)
-        return self._counts[tau]
+        k = self._counts.get(tau)
+        if k is None:
+            k = self._counts[tau] = self._count(tau)
+        return k
 
     def _count(self, tau: float) -> int:  # by binary search in the sorted values
         return int(np.searchsorted(self._sorted, tau, side="right"))
@@ -253,6 +258,10 @@ class FixedCohort(Cohort):
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.model.quantile(idx / (self.n - 1))
+
+    def min_candidates(self) -> np.ndarray:
+        # value 0 is x_min exactly and the values are nondecreasing: the ties come first
+        return np.arange(self.count_at_or_below(self.model.x_min))
 
     def _count(self, tau: float) -> int:  # the index of the first value above tau
         n, quantile = self.n, self.model.quantile

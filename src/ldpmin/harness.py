@@ -74,6 +74,9 @@ class ModelTemplate:
                 f"infeasible placement x_min={x_min} with delta={self.delta} leaves [-1, 1]"
             )
         x_max = min(x_min + self.delta, 1.0)
+        if x_max == x_min:
+            raise ValueError(f"delta={self.delta} is below float64 resolution at "
+                             f"x_min={x_min}: x_min + delta rounds back to x_min")
         if self.kind == "truncnorm":
             return TruncNormal(self.mu, self.sigma, x_min, x_max)
         a = 1.0 if self.kind == "uniform" else self.alpha

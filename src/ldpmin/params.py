@@ -55,10 +55,10 @@ def params_known_alpha(n: int, alpha0: float, epsilon: float) -> ProtocolConfig:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if not alpha0 > 0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    if not 0 < alpha0 < math.inf:
+        raise ValueError(f"alpha0 must be finite and positive, got {alpha0}")
     depth = max(1, math.ceil(math.log2(n) / (2.0 * alpha0)))
-    h = math.log(n) / (2.0 * alpha0)
+    h = 0.5 * math.log(n) / alpha0  # ln(N) / (2 alpha0) to the bit, where 2 alpha0 overflows too
     return ProtocolConfig(epsilon, depth, gamma_threshold(epsilon, depth, h, n), n)
 
 

@@ -13,6 +13,10 @@ The noise-free search is the same walk at eps = inf and gamma = 1/(2N):
 phi is then the plain fraction count/N, which reaches 1/(2N) exactly when
 at least one user sits at or below tau.
 
+A walk keeps one plain step (tau, sum_z, phi, branch) per round; its
+transcript builds the :class:`RoundRecord` s only when ``rounds`` is read, so
+a sweep, which reads only the estimate, builds none.
+
 A simulated run reads each round's count at tau from a count source (``n``
 and ``count_at_or_below``: a cohort, or ``datagen.IidCounts``, which draws an
 iid cohort's counts from the run's stream), then draws the answer sum as two
@@ -116,11 +120,17 @@ class RoundRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Transcript:
-    """Full audit trail of one run: its config, one record per round, the final estimate."""
+    """One run: its config, one step (tau, sum_z, phi, branch) per round, the
+    estimate.  ``rounds``, one record per step, is built on first read.
+    """
 
     config: ProtocolConfig
-    rounds: tuple[RoundRecord, ...]
+    steps: tuple[tuple[float, int, float, str], ...]
     estimate: float
+
+    @functools.cached_property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        return tuple(RoundRecord(t, *step) for t, step in enumerate(self.steps, 1))
 
 
 def user_respond(x: float, tau: float, budget: RoundBudget, rng) -> int:
@@ -139,11 +149,11 @@ def bisect(config: ProtocolConfig, round_sum) -> Transcript:
     of the N answers in {-1, +1}; it keeps the left half when the debiased
     estimate (``unbiased_phi``, unchecked: every caller's sum is valid) reaches
     ``config.gamma``.  Returns the midpoint of the final interval with one
-    record per round.
+    plain step per round, which the transcript turns into records when read.
     """
     two_n, correction, gamma = 2.0 * config.n, config.correction, config.gamma
     lo, hi = -1.0, 1.0
-    rounds = []
+    steps = []
     for t in range(1, config.depth + 1):
         tau = lo + (hi - lo) / 2.0  # keeps tau an exact dyadic rational
         sum_z = round_sum(t, tau)
@@ -152,8 +162,8 @@ def bisect(config: ProtocolConfig, round_sum) -> Transcript:
             branch, hi = BRANCH_LEFT, tau
         else:
             branch, lo = BRANCH_RIGHT, tau
-        rounds.append(RoundRecord(t, tau, sum_z, phi, branch))
-    return Transcript(config, tuple(rounds), lo + (hi - lo) / 2.0)
+        steps.append((tau, sum_z, phi, branch))
+    return Transcript(config, tuple(steps), lo + (hi - lo) / 2.0)
 
 
 def run_nonprivate_min(counts, depth: int) -> Transcript:
@@ -203,16 +213,14 @@ def run_private_max(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rn
     """Maximum finding by reflection: negate the data, search, negate back.
 
     With the same stream, the estimate is exactly the negation of
-    :func:`run_private_min` on the negated cohort.  Round records carry the
+    :func:`run_private_min` on the negated cohort.  Its steps carry the
     reflected midpoints (the queries as seen in the original orientation);
     branch labels remain the literal threshold-test outcomes of the
     underlying mirrored search.
     """
     mirrored = run_private_min(cohort.negated(), config, rng, user_rngs=user_rngs)
-    rounds = tuple(
-        RoundRecord(r.round, -r.tau, r.sum_z, r.phi, r.branch) for r in mirrored.rounds
-    )
-    return Transcript(config, rounds, -mirrored.estimate)
+    steps = tuple((-tau, *rest) for tau, *rest in mirrored.steps)
+    return Transcript(config, steps, -mirrored.estimate)
 
 
 def baseline_min(cohort: Cohort, budget: PrivacyBudget, rng) -> float:
@@ -224,10 +232,14 @@ def baseline_min(cohort: Cohort, budget: PrivacyBudget, rng) -> float:
 
     Only users who can hold the minimum have their value read: with every
     value in ``cohort.bounds`` = [lo, hi] and rounding monotone, user i reports
-    at least fl(lo + L_i) and the minimum is at most min_j fl(hi + L_j).
+    at least fl(lo + L_i) and the minimum is at most min_j fl(hi + L_j).  Under
+    zero noise (eps = inf) only users at the smallest value can: ``min_candidates``.
     """
     noise = laplace_noise_many(cohort.n, budget, rng)
-    lo, hi = cohort.bounds
-    # "not above": a NaN bound (inf scale times log 1) keeps all, as the full min is NaN
-    keep = np.flatnonzero(~(lo + noise > (hi + noise).min()))
+    if budget.epsilon == math.inf:  # the noise is all zeros
+        keep = cohort.min_candidates()
+    else:
+        lo, hi = cohort.bounds
+        # "not above": a NaN bound (inf scale times log 1) keeps all, as the full min is NaN
+        keep = np.flatnonzero(~(lo + noise > (hi + noise).min()))
     return float((cohort.values_at(keep) + noise[keep]).min())

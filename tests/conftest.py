@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ldpmin.mechanisms import PrivacyBudget, RoundBudget, laplace_scale, rr_respond_many
+from ldpmin.mechanisms import (
+    PrivacyBudget,
+    RoundBudget,
+    laplace_scale,
+    rr_respond_many,
+    unbiased_phi,
+)
+from ldpmin.protocol import BRANCH_LEFT, BRANCH_RIGHT, RoundRecord, user_respond
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -98,6 +105,31 @@ def always_two_binomials(counts, config, rng):
     def round_sum(t, tau):
         k = counts.count_at_or_below(tau)
         return 2 * int(rng.binomial(k, p_keep) + rng.binomial(n - k, 1.0 - p_keep)) - n
+    return round_sum
+
+
+def eager_walk(config, round_sum):
+    """Reference for ``Transcript.rounds``: the interval walk building each
+    round's ``RoundRecord`` as it goes.  Returns (records, estimate)."""
+    lo, hi = -1.0, 1.0
+    records = []
+    for t in range(1, config.depth + 1):
+        tau = lo + (hi - lo) / 2.0
+        sum_z = round_sum(t, tau)
+        phi = unbiased_phi(sum_z, config.n, config.round_budget)
+        if phi >= config.gamma:
+            branch, hi = BRANCH_LEFT, tau
+        else:
+            branch, lo = BRANCH_RIGHT, tau
+        records.append(RoundRecord(t, tau, sum_z, phi, branch))
+    return tuple(records), lo + (hi - lo) / 2.0
+
+
+def per_user_round_sum(values, config, user_rngs):
+    """Reference round sum with one stream per user: one sanitized answer each."""
+    def round_sum(t, tau):
+        return sum(user_respond(float(x), tau, config.round_budget, g)
+                   for x, g in zip(values, user_rngs))
     return round_sum
 
 

@@ -109,6 +109,17 @@ class TestSimulate:
         assert code == 2
         assert "infeasible placement x_min=nan" in err
 
+    @pytest.mark.parametrize("model", ["uniform", "truncnorm"])
+    def test_delta_below_float_resolution_is_usage_error(self, capsys, model):
+        # x_min + delta rounds back to x_min: the refusal names the delta, the
+        # placement and the cause, not a zero-width support
+        code, out, err = run_main(capsys, ["simulate", "--n", "10", "--model", model,
+                                           "--delta", "1e-300", "--epsilon", "1",
+                                           "--depth", "3", "--gamma", "0.3"])
+        assert code == 2
+        assert out == "" and "delta=1e-300" in err and "x_min=-1.0" in err
+        assert "float64 resolution" in err
+
     def test_depth_past_float_resolution_rejected(self, capsys):
         code, out, err = run_main(capsys, [
             "simulate", "--data", "-1", "--epsilon", "1", "--depth", "55", "--gamma", "0.1",
@@ -124,6 +135,13 @@ class TestSimulate:
         code, out, err = run_main(capsys, ["simulate", "--data", "0.5,0.1,-0.2", *argv])
         assert code == 3
         assert out == "" and err.startswith("error:")
+
+    def test_infinite_alpha0_exits_3(self, capsys):
+        # it used to be refused as a nonpositive h
+        code, out, err = run_main(capsys, ["simulate", "--data", "0.5,0.1,-0.2", "--epsilon", "1",
+                                           "--param-mode", "known_alpha:inf"])
+        assert code == 3
+        assert out == "" and "alpha0 must be finite and positive" in err
 
     def test_phi_that_would_overflow_exits_3(self, capsys):
         # eps/L = 2.2e-308 still debiases, but coth(eps/2) * sum_z overflows

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import seed_sequence_rep_rng
+from ldpmin.datagen import Cohort
 from ldpmin.harness import (
     MECH_BINARY_SEARCH,
     MECH_LAPLACE,
@@ -220,6 +221,27 @@ class TestRunExperiment:
     def test_infeasible_xmin_grid_reported(self):
         with pytest.raises(ValueError, match="infeasible"):
             small_spec(xmin_grid=(0.9,))
+
+    def test_sweep_builds_no_round_record(self, monkeypatch):
+        # a sweep reads only each run's estimate, so no run builds its records
+        from ldpmin import protocol
+
+        built, record = [], protocol.RoundRecord
+
+        def counting_record(*fields):
+            built.append(fields)
+            return record(*fields)
+
+        monkeypatch.setattr(protocol, "RoundRecord", counting_record)
+        for setting in ("fixed", "iid"):
+            run_experiment(small_spec(setting=setting, reps=3, mechanisms=MECHANISMS))
+        assert built == []
+        # the counter sees the records a reader asks for
+        config = choose_params("lower_alpha", 64, 2.0)
+        t = run_private_min(Cohort(np.linspace(-0.5, 0.5, 64), "fixed"), config,
+                            rep_rng(0, MECH_BINARY_SEARCH, 64, 2.0, -0.5, 0))
+        assert "rounds" not in t.__dict__
+        assert len(t.rounds) == config.depth == len(built)
 
 
 class TestCompareBaseline:

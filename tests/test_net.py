@@ -12,7 +12,7 @@ from ldpmin.datagen import Cohort
 from ldpmin.net import MinServer, SessionAborted, run_client
 from ldpmin.protocol import MAX_DEPTH, ProtocolConfig, run_private_min
 
-from conftest import make_rng
+from conftest import eager_walk, make_rng, per_user_round_sum
 
 
 def serve_in_thread(server):
@@ -137,6 +137,9 @@ class TestLoopbackEquivalence:
         assert out["transcript"].estimate == local.estimate
         assert out["transcript"].rounds == local.rounds
         assert set(results) == {local.estimate}
+        # the session's records, built on read, are those of the eager walk
+        eager = eager_walk(config, per_user_round_sum(xs, config, [make_rng(s) for s in seeds]))
+        assert (out["transcript"].rounds, out["transcript"].estimate) == eager
 
     def test_noise_free_single_client_hand_trace(self):
         config = ProtocolConfig(epsilon=math.inf, depth=3, gamma=1.0, n=1)

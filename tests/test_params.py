@@ -95,6 +95,16 @@ class TestKnownAlphaSchedule:
         with pytest.raises(ValueError):
             params_known_alpha(1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha0", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_alpha0_not_finite_and_positive(self, alpha0):
+        with pytest.raises(ValueError, match="alpha0 must be finite and positive"):
+            params_known_alpha(1024, alpha0, 1.0)
+
+    def test_largest_alpha0_keeps_a_positive_h(self):
+        # 2 alpha0 overflows past 2^1023; h = ln(N) / (2 alpha0) must not become 0
+        p = params_known_alpha(1024, 1.7e308, 1.0)
+        assert p.depth == 1 and p.gamma > 0.0
+
     def test_depth_past_float_resolution_rejected(self):
         assert choose_params("known_alpha:0.1", 1024, 1.0).depth == 50
         with pytest.raises(ValueError, match="54"):
