@@ -22,6 +22,9 @@ Quantiles of both models are closed forms (the inverse incomplete
 beta function; the normal quantile on the side of the mean where the
 support's tail keeps its relative precision), clamped to the support; sampling
 is inverse CDF from one uniform per value so that seeded runs are replayable.
+scipy, which gives those closed forms, is imported on a model's first
+``cdf``, ``quantile`` or :func:`fatness_constant`, so a process that evaluates
+no model (the aggregator, a client, ``simulate --data``, ``fit``) never loads it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on a data model's first evaluation, not with the module."""
+    try:
+        from scipy import special
+    except ImportError as exc:
+        raise RuntimeError(f"data models need scipy, which could not be imported: {exc}") from exc
+    return special
 
 
 def _check_levels(qs: np.ndarray) -> None:
@@ -97,11 +109,11 @@ class BetaScaled:
 
     def cdf(self, x):
         u = (_checked(x) - self.x_min) / self.delta
-        out = special.betainc(self.alpha, self.beta, _clip(u, 0.0, 1.0))
+        out = _special().betainc(self.alpha, self.beta, _clip(u, 0.0, 1.0))
         return float(out) if np.isscalar(x) else out
 
     def _inverse(self, qs):
-        return self.x_min + self.delta * special.betaincinv(self.alpha, self.beta, qs)
+        return self.x_min + self.delta * _special().betaincinv(self.alpha, self.beta, qs)
 
     def quantile(self, q):
         return _clamped_quantile(self, q)
@@ -142,7 +154,7 @@ class TruncNormal:
 
     def _phi(self, x):
         """Phi(side * (x - mu) / sigma): monotone in x, decreasing when side = -1."""
-        return special.ndtr(self._side * (x - self.mu) / self.sigma)
+        return _special().ndtr(self._side * (x - self.mu) / self.sigma)
 
     @functools.cached_property
     def _mass(self) -> float:
@@ -156,7 +168,7 @@ class TruncNormal:
 
     def _inverse(self, qs):
         a, b = self._phi(self.x_min), self._phi(self.x_max)
-        return self.mu + self._side * self.sigma * special.ndtri(a + qs * (b - a))
+        return self.mu + self._side * self.sigma * _special().ndtri(a + qs * (b - a))
 
     def quantile(self, q):
         return _clamped_quantile(self, q)
@@ -236,6 +248,10 @@ class DeferredCohort(Cohort):
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.model.quantile(self.levels[idx])
+
+    def min_candidates(self) -> np.ndarray:
+        # the quantile is nondecreasing in the level: the smallest level holds the smallest value
+        return np.flatnonzero(self.levels == self.levels.min())
 
 
 class FixedCohort(Cohort):
@@ -338,7 +354,7 @@ def fatness_constant(model) -> float:
     """
     if isinstance(model, BetaScaled):
         # min{1, 1/(alpha B)} without dividing by a B that underflows to 0
-        c0 = 1.0 / max(1.0, model.alpha * float(special.beta(model.alpha, model.beta)))
+        c0 = 1.0 / max(1.0, model.alpha * float(_special().beta(model.alpha, model.beta)))
         return c0 / model.delta**model.alpha
     if isinstance(model, TruncNormal):
         # the density is smallest at the support edge farther from mu

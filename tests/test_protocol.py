@@ -616,6 +616,31 @@ class TestBaseline:
         assert estimate < -1.0
         assert 1 <= model.levels < 100
 
+    @pytest.mark.parametrize("model", [
+        BetaScaled(2.0, 1.0, -1.0, 0.3), TruncNormal(0.0, 0.3, -0.4, 0.2),
+        BetaScaled(0.01, 1.0, -1.0, 0.3),
+    ], ids=["beta(2,1)", "truncnorm", "ties-at-min"])
+    def test_iid_zero_noise_baseline_reads_only_the_smallest_level(self, model):
+        # at eps = inf an iid cohort reads only its users at the smallest
+        # uniform level, which hold the smallest value, and gives the bits of
+        # the minimum over all N values; under ties-at-min most users share
+        # that value, yet only the tied users at the smallest level are read
+        from conftest import CountingModel
+
+        n, budget = 4097, PrivacyBudget(math.inf)
+        for seed in range(6):
+            ref = make_rng(seed)
+            levels = ref.random(n)
+            values = model.quantile(levels)
+            expected = np.float64((values + laplace_noise_many(n, budget, ref)).min())
+            counting, rng = CountingModel(model), make_rng(seed)
+            got = np.float64(baseline_min(iid_cohort(counting, n, rng), budget, rng))
+            assert got.tobytes() == expected.tobytes(), (seed, got, expected)
+            assert rng.random() == ref.random()
+            at_smallest = levels == levels.min()
+            assert counting.levels == np.count_nonzero(at_smallest)
+            assert np.all(values[at_smallest] == values.min())
+
     @pytest.mark.parametrize("epsilon", [1.0, 8.0, math.inf], ids=["eps1", "eps8", "epsinf"])
     def test_fixed_baseline_reads_few_values(self, epsilon):
         # a fixed cohort evaluates the quantile only at the users whose report
