@@ -25,6 +25,9 @@ is inverse CDF from one uniform per value so that seeded runs are replayable.
 scipy, which gives those closed forms, is imported on a model's first
 ``cdf``, ``quantile`` or :func:`fatness_constant`, so a process that evaluates
 no model (the aggregator, a client, ``simulate --data``, ``fit``) never loads it.
+The flat beta (alpha = beta = 1, the uniform model) needs no scipy at all: its
+CDF and inverse are the identity on [0, 1] and B(1, 1) = 1, which is what scipy
+returns for them bit for bit, so a uniform run never loads it either.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ class BetaScaled:
 
     The left tail satisfies F(x) >= C (x - x_min)^alpha all the way up to
     the right support edge, so ``alpha`` is literally the model's fatness
-    exponent (alpha = beta = 1 is the uniform distribution).
+    exponent.  alpha = beta = 1 is the uniform distribution, evaluated in
+    closed form without scipy.
     """
 
     alpha: float
@@ -98,6 +102,8 @@ class BetaScaled:
             raise ValueError(
                 f"support [{self.x_min}, {self.x_min + self.delta}] leaves [-1, 1]"
             )
+        # alpha = beta = 1: the incomplete beta function and its inverse are the identity
+        object.__setattr__(self, "_flat", self.alpha == 1 and self.beta == 1)
 
     @property
     def x_max(self) -> float:
@@ -108,12 +114,14 @@ class BetaScaled:
         return self.alpha
 
     def cdf(self, x):
-        u = (_checked(x) - self.x_min) / self.delta
-        out = _special().betainc(self.alpha, self.beta, _clip(u, 0.0, 1.0))
+        u = _clip((_checked(x) - self.x_min) / self.delta, 0.0, 1.0)
+        # + 0.0 turns a -0.0 into the +0.0 betainc gives
+        out = u + 0.0 if self._flat else _special().betainc(self.alpha, self.beta, u)
         return float(out) if np.isscalar(x) else out
 
     def _inverse(self, qs):
-        return self.x_min + self.delta * _special().betaincinv(self.alpha, self.beta, qs)
+        u = qs if self._flat else _special().betaincinv(self.alpha, self.beta, qs)
+        return self.x_min + self.delta * u
 
     def quantile(self, q):
         return _clamped_quantile(self, q)
@@ -354,7 +362,8 @@ def fatness_constant(model) -> float:
     """
     if isinstance(model, BetaScaled):
         # min{1, 1/(alpha B)} without dividing by a B that underflows to 0
-        c0 = 1.0 / max(1.0, model.alpha * float(_special().beta(model.alpha, model.beta)))
+        b = 1.0 if model._flat else float(_special().beta(model.alpha, model.beta))
+        c0 = 1.0 / max(1.0, model.alpha * b)
         return c0 / model.delta**model.alpha
     if isinstance(model, TruncNormal):
         # the density is smallest at the support edge farther from mu

@@ -1,4 +1,4 @@
-"""scipy loads only when a data model is evaluated.
+"""scipy loads only when a data model other than the flat beta is evaluated.
 
 Each check runs in a new interpreter on the package under src/, since this
 test process has scipy loaded already.  A script prints ``"scipy" in
@@ -112,8 +112,57 @@ def test_fatness_constant_loads_scipy():
     """)
 
 
-@pytest.mark.parametrize("model_args", [[], ["--model", "truncnorm", "--delta", "0.5"]],
-                         ids=["uniform", "truncnorm"])
+UNIFORM_CONFIG = """\
+model = uniform
+delta = 0.3
+setting = {setting}
+n_grid = 64, 256
+epsilon_grid = 4
+param_mode = lower_alpha
+reps = 3
+seed = 11
+mechanisms = {mechanisms}
+"""
+
+
+def uniform_run(kind, setting, out, tmp_path):
+    """argv of a uniform ``experiment`` or ``simulate`` run writing under ``out``."""
+    if kind == "simulate":
+        return ["simulate", "--n", "64", "--model", "uniform", "--setting", setting,
+                "--epsilon", "1", "--param-mode", "lower_alpha", "--seed", "5",
+                "--out", str(out / "transcript.jsonl")]
+    mechanisms = "binary_search, nonprivate" if setting == "fixed" else "binary_search, laplace"
+    config = tmp_path / f"uniform_{setting}.cfg"
+    config.write_text(UNIFORM_CONFIG.format(setting=setting, mechanisms=mechanisms),
+                      encoding="utf-8")
+    return ["experiment", str(config), "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("setting", ["fixed", "iid"])
+@pytest.mark.parametrize("kind", ["experiment", "simulate"])
+def test_uniform_run_needs_no_scipy(kind, setting, tmp_path):
+    # the flat beta evaluates in closed form: nothing of scipy loads, and a run
+    # without it writes what the run with it writes, byte for byte
+    outputs = {}
+    for block in (False, True):
+        out = tmp_path / ("blocked" if block else "free")
+        out.mkdir()
+        argv = uniform_run(kind, setting, out, tmp_path)
+        done = fresh(f"""
+            from ldpmin import cli
+            code = cli.main({argv!r})
+            print([m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m]])
+            sys.exit(code)
+        """, block_scipy=block)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        outputs[block] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs[False] and outputs[True] == outputs[False]
+
+
+@pytest.mark.parametrize("model_args", [["--model", "beta", "--model-alpha", "2"],
+                                        ["--model", "truncnorm", "--delta", "0.5"]],
+                         ids=["beta", "truncnorm"])
 def test_missing_scipy_ends_a_model_run_in_exit_3(model_args):
     argv = ["simulate", "--n", "8", *model_args, "--epsilon", "1", "--depth", "3",
             "--gamma", "0.5"]

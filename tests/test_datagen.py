@@ -155,6 +155,50 @@ class TestQuantileInversion:
                 model.quantile(level)
 
 
+# the flat beta (uniform) at the stock delta-0.3 placements, at x_min = 0.0 (where
+# x = -0.0 gives u = -0.0) and at the full width
+FLAT_MODELS = [ModelTemplate("uniform", delta=0.3).place(x_min)
+               for x_min in ModelTemplate("uniform", delta=0.3).default_xmin_grid()]
+FLAT_MODELS += [BetaScaled(1.0, 1.0, 0.0, 0.3), BetaScaled(1.0, 1.0, -1.0, 2.0)]
+
+
+def flat_levels():
+    tiny = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 2.0**-52, 1e-10, 3e-10, 1.0 - 1e-10]
+    return np.concatenate([tiny, np.linspace(0.0, 1.0, 100_001),
+                           make_rng(2101).random(100_000)])
+
+
+class TestFlatBetaOracle:
+    """The flat beta evaluates without scipy; these say so if scipy's incomplete
+    beta at (1, 1) ever stops being the identity, bit for bit."""
+
+    @pytest.mark.parametrize("model", FLAT_MODELS, ids=repr)
+    def test_cdf_is_scipys_betainc(self, model):
+        xs = np.concatenate([model.x_min + model.delta * flat_levels(),
+                             np.linspace(-1.0, 1.0, 20_001), [-0.0, 0.0, math.nan]])
+        xs = xs[~(np.abs(xs) > 1.0)]  # keeps the NaN
+        u = np.clip((xs - model.x_min) / model.delta, 0.0, 1.0)
+        oracle = special.betainc(1.0, 1.0, u)
+        assert model.cdf(xs).tobytes() == oracle.tobytes()
+        for x, want in zip([*xs[-3:], *xs[::10]], [*oracle[-3:], *oracle[::10]]):
+            assert model.cdf(float(x)).hex() == float(want).hex(), x
+
+    @pytest.mark.parametrize("model", FLAT_MODELS, ids=repr)
+    def test_quantile_is_scipys_betaincinv(self, model):
+        qs = flat_levels()
+        x = np.clip(model.x_min + model.delta * special.betaincinv(1.0, 1.0, qs),
+                    model.x_min, model.x_max)
+        oracle = np.where(qs == 0.0, model.x_min, np.where(qs == 1.0, model.x_max, x))
+        assert model.quantile(qs).tobytes() == oracle.tobytes()
+        for q, want in zip(qs[::10], oracle[::10]):
+            assert model.quantile(float(q)).hex() == float(want).hex(), q
+
+    @pytest.mark.parametrize("model", FLAT_MODELS, ids=repr)
+    def test_fatness_constant_is_scipys_beta(self, model):
+        oracle = 1.0 / max(1.0, float(special.beta(1.0, 1.0))) / model.delta
+        assert fatness_constant(model).hex() == oracle.hex()
+
+
 class TestFarTailTruncNormal:
     def test_cdf_is_finite_and_matches_scipy(self):
         for model in FAR_TAIL_MODELS:

@@ -1,7 +1,7 @@
 """Every public top-level function or class in src/ldpmin has a caller.
 
 A name counts as called when src/ names it outside its own definition, or
-when scripts/, bench/ or tests/test_acceptance.py names it: as an
+when bench/ or tests/test_acceptance.py names it: as an
 identifier, an attribute, an import, or a string constant that is a dotted
 name (as a bench hook resolves ``"protocol.rr_respond_many"``).  Unit tests
 do not count: a name only its own tests call gets a caller or goes.
@@ -38,8 +38,7 @@ def test_every_public_name_has_a_caller():
             if own is not None and not own.startswith("_"):
                 defined.add(own)
             called.update(set(names_in(stmt)) - {own})
-    outside = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py"),
-               ROOT / "tests" / "test_acceptance.py"]
+    outside = [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
     for path in outside:
         called.update(names_in(ast.parse(path.read_text(encoding="utf-8"))))
     assert sorted(defined - called) == sorted(ALLOWED)
