@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, harness, net
-from .datagen import Cohort, fixed_cohort, iid_cohort
+from .datagen import Cohort, IidCounts, fixed_cohort
 from .params import choose_params
 from .protocol import ProtocolConfig, Transcript, run_private_min
 
@@ -94,7 +94,8 @@ def _parse_epsilon(text: str) -> float:
     return value
 
 
-def _simulate_cohort(args, rng) -> Cohort:
+def _simulate_cohort(args, rng):
+    """The count source a simulated search reads: a cohort, or an iid cohort's counts."""
     model_fields = {f.name for f in dataclasses.fields(harness.ModelTemplate)}
     model_args = {k: v for k, v in vars(args).items() if k in model_fields}
     if "kind" in model_args:  # an unknown --model is refused even beside --data
@@ -114,7 +115,7 @@ def _simulate_cohort(args, rng) -> Cohort:
     model = harness.ModelTemplate(**model_args).place(args.x_min)
     if args.setting == "fixed":
         return fixed_cohort(model, args.n)
-    return iid_cohort(model, args.n, rng)
+    return IidCounts(model, args.n, rng)
 
 
 def cmd_simulate(args) -> int:
@@ -128,15 +129,15 @@ def cmd_simulate(args) -> int:
     epsilon = _parse_epsilon(args.epsilon)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     try:
-        cohort = _simulate_cohort(args, rng)
+        counts = _simulate_cohort(args, rng)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
     if args.param_mode is not None:
-        config = choose_params(args.param_mode, cohort.n, epsilon)
+        config = choose_params(args.param_mode, counts.n, epsilon)
     else:
-        config = ProtocolConfig(epsilon, args.depth, args.gamma, cohort.n)
-    transcript = run_private_min(cohort, config, rng)
+        config = ProtocolConfig(epsilon, args.depth, args.gamma, counts.n)
+    transcript = run_private_min(counts, config, rng)
     text = transcript_json_lines(transcript)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -14,9 +14,11 @@ cost that does not grow with N:
   empirical CDF of the cohort interpolates F exactly; :func:`fixed_cohort`
   evaluates the quantile only next to the user a count ends at, or at the
   users a reader reads;
-* iid: users hold independent draws from F.  :class:`IidCounts` draws an iid
-  cohort's counts from their exact law; :func:`iid_cohort` evaluates the
-  quantile only at the levels a reader reads.
+* iid: users hold independent draws from F.  Every search reads
+  :class:`IidCounts`, which draws an iid cohort's counts from their exact law
+  and holds no values; the Laplace baseline, which reads values, reads
+  :func:`iid_cohort`: one uniform level per user, its quantile evaluated only
+  where read.
 
 Quantiles of both models are closed forms (the inverse incomplete
 beta function; the normal quantile on the side of the mean where the
@@ -217,10 +219,6 @@ class Cohort:
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.values[idx]
 
-    def min_candidates(self) -> np.ndarray:
-        """Indices of the users that may hold the smallest value, found reading no value."""
-        return np.arange(self.n)
-
     @functools.cached_property
     def _sorted(self) -> np.ndarray:
         return np.sort(self.values)
@@ -239,27 +237,20 @@ class Cohort:
         return Cohort(-self.values, self.setting)
 
 
-class DeferredCohort(Cohort):
-    """An iid cohort kept as its users' uniform levels: value i is
-    ``model.quantile(levels[i])``, evaluated only for the users read.  The
-    quantile is clamped to the model's support, so that is the ``bounds``.
+class DeferredCohort:
+    """An iid cohort as the Laplace baseline reads it: its users' uniform
+    levels, value i being ``model.quantile(levels[i])``, evaluated only for
+    the users read.  The quantile is clamped to the model's support, so that
+    is the ``bounds``.
     """
 
     def __init__(self, model, levels: np.ndarray):
         _check_levels(levels)
-        self.model, self.levels, self.setting = model, levels, "iid"
-        self.n, self.bounds, self._counts = int(levels.size), (model.x_min, model.x_max), {}
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        return self.model.quantile(self.levels)
+        self.model, self.levels, self.n = model, levels, int(levels.size)
+        self.bounds = (model.x_min, model.x_max)
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.model.quantile(self.levels[idx])
-
-    def min_candidates(self) -> np.ndarray:
-        # the quantile is nondecreasing in the level: the smallest level holds the smallest value
-        return np.flatnonzero(self.levels == self.levels.min())
 
 
 class FixedCohort(Cohort):
@@ -283,10 +274,6 @@ class FixedCohort(Cohort):
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.model.quantile(idx / (self.n - 1))
 
-    def min_candidates(self) -> np.ndarray:
-        # value 0 is x_min exactly and the values are nondecreasing: the ties come first
-        return np.arange(self.count_at_or_below(self.model.x_min))
-
     def _count(self, tau: float) -> int:  # the index of the first value above tau
         n, quantile = self.n, self.model.quantile
 
@@ -308,21 +295,26 @@ class FixedCohort(Cohort):
         return hi
 
 
+def _check_size(n: int, least: int, kind: str) -> None:
+    if n < least:
+        raise ValueError(f"{kind} cohorts need n >= {least}, got {n}")
+    if n > 2**63 - 1:  # numpy draws a binomial count as an int64
+        raise ValueError(f"n must be at most 2**63 - 1, got {n}")
+
+
 def fixed_cohort(model, n: int) -> FixedCohort:
     """Deterministic cohort x_(i) = F*((i-1)/(N-1)), i = 1..N, sorted.
 
     The first value is the support minimum exactly and the last the support
     maximum.
     """
-    if n < 2:
-        raise ValueError(f"fixed cohorts need n >= 2, got {n}")
+    _check_size(n, 2, "fixed")
     return FixedCohort(model, n)
 
 
 def iid_cohort(model, n: int, rng) -> DeferredCohort:
     """n independent inverse-CDF draws: one uniform per value now, its quantile when read."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_size(n, 1, "iid")
     return DeferredCohort(model, rng.random(n))
 
 
@@ -335,6 +327,7 @@ class IidCounts:
     """
 
     def __init__(self, model, n: int, rng):
+        _check_size(n, 1, "iid")
         self._model, self.n, self._rng = model, n, rng
         self._known = [(-1.0, 0.0, 0), (1.0, 1.0, n)]  # (tau, F, k), sorted by tau
 

@@ -132,7 +132,7 @@ class MinServer:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
-        self._sock.listen(expected_clients)
+        self._sock.listen(min(expected_clients, socket.SOMAXCONN))  # the kernel caps it anyway
         self.address = self._sock.getsockname()
 
     def _broadcast(self, line: str) -> None:

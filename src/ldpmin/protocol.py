@@ -18,13 +18,14 @@ transcript builds the :class:`RoundRecord` s only when ``rounds`` is read, so
 a sweep, which reads only the estimate, builds none.
 
 A simulated run reads each round's count at tau from a count source (``n``
-and ``count_at_or_below``: a cohort, or ``datagen.IidCounts``, which draws an
-iid cohort's counts from the run's stream), then draws the answer sum as two
-binomials from that stream (users at or below tau first), so transcripts
-replay from (counts, config, seed); a binomial over no users is skipped, as
-numpy returns 0 for it before touching the stream.  Passing a cohort and
-``user_rngs`` simulates one independent stream per user instead (one uniform
-per sanitized bit); the estimator distribution is identical either way.
+and ``count_at_or_below``: a :class:`Cohort`, fixed ones included, or, for
+every iid search, ``datagen.IidCounts``, which draws the counts from the run's
+stream), then draws the answer sum as two binomials from that stream (users
+at or below tau first), so transcripts replay from (counts, config, seed); a
+binomial over no users is skipped, as numpy returns 0 for it before touching
+the stream.  Passing a cohort and ``user_rngs`` simulates one independent
+stream per user instead (one uniform per sanitized bit); the estimator
+distribution is identical either way.
 """
 
 from __future__ import annotations
@@ -223,23 +224,21 @@ def run_private_max(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rn
     return Transcript(config, steps, -mirrored.estimate)
 
 
-def baseline_min(cohort: Cohort, budget: PrivacyBudget, rng) -> float:
+def baseline_min(cohort, budget: PrivacyBudget, rng) -> float:
     """Naive estimate: sanitize every value with Laplace(0, 2/eps), take the min.
 
     The whole budget is spent on a single release per user.  The output is
     unclamped and, since the minimum of N noise draws grows like
     -(2/eps) ln N, typically falls far outside the data domain.
 
-    Only users who can hold the minimum have their value read: with every
-    value in ``cohort.bounds`` = [lo, hi] and rounding monotone, user i reports
-    at least fl(lo + L_i) and the minimum is at most min_j fl(hi + L_j).  Under
-    zero noise (eps = inf) only users at the smallest value can: ``min_candidates``.
+    ``cohort`` gives ``n``, ``bounds`` and ``values_at``: a :class:`Cohort` or
+    a ``datagen.DeferredCohort``.  Only users who can hold the minimum have
+    their value read: with every value in ``bounds`` = [lo, hi] and rounding
+    monotone, user i reports at least fl(lo + L_i) and the minimum is at most
+    min_j fl(hi + L_j).
     """
     noise = laplace_noise_many(cohort.n, budget, rng)
-    if budget.epsilon == math.inf:  # the noise is all zeros
-        keep = cohort.min_candidates()
-    else:
-        lo, hi = cohort.bounds
-        # "not above": a NaN bound (inf scale times log 1) keeps all, as the full min is NaN
-        keep = np.flatnonzero(~(lo + noise > (hi + noise).min()))
+    lo, hi = cohort.bounds
+    # "not above": a NaN bound (inf scale times log 1) keeps all, as the full min is NaN
+    keep = np.flatnonzero(~(lo + noise > (hi + noise).min()))
     return float((cohort.values_at(keep) + noise[keep]).min())

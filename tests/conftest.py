@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ldpmin.datagen import Cohort, iid_cohort
 from ldpmin.mechanisms import (
     PrivacyBudget,
     RoundBudget,
@@ -95,6 +96,12 @@ def respond_round(values: np.ndarray, tau: float, budget: RoundBudget, rng) -> n
     answers for one round, drawn in user-index order."""
     raw = np.where(tau - values >= 0.0, 1, -1)
     return rr_respond_many(raw, budget, rng)
+
+
+def iid_values(model, n: int, rng) -> Cohort:
+    """An iid cohort given by its values: ``iid_cohort``'s n uniforms from
+    ``rng``, every one's quantile read."""
+    return Cohort(iid_cohort(model, n, rng).values_at(np.arange(n)), "iid")
 
 
 def always_two_binomials(counts, config, rng):

@@ -182,22 +182,48 @@ class TestSimulate:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text().strip().splitlines()[-1])["estimate"] == 0.375
 
-    def test_cohort_too_large_to_allocate_exits_3(self, capsys):
-        # an iid cohort draws one uniform per user before the search
-        code, out, err = run_main(capsys, ["simulate", "--n", UNALLOCATABLE_N, "--setting", "iid",
-                                           "--epsilon", "4", "--param-mode", "lower_alpha"])
-        assert code == 3
-        assert out == "" and err.startswith("error:")
-
-    def test_fixed_cohort_too_large_to_allocate_runs(self, capsys):
-        # a fixed cohort's search counts from the model and reads no value
-        # (measured 0.6 s in a fresh process, most of it imports)
+    @pytest.mark.parametrize("setting", ["fixed", "iid"])
+    def test_cohort_too_large_to_allocate_runs(self, capsys, setting):
+        # a search reads counts, not values: a fixed cohort counts from the
+        # model and an iid one draws its counts (measured 0.6 s in a fresh
+        # process, most of it imports)
         start = time.perf_counter()
         code, out, err = run_main(capsys, ["simulate", "--n", UNALLOCATABLE_N, "--epsilon", "4",
-                                           "--param-mode", "lower_alpha"])
+                                           "--param-mode", "lower_alpha", "--setting", setting])
         assert time.perf_counter() - start < 10.0
         assert code == 0 and err == ""
         assert json.loads(out.splitlines()[-1])["n"] == int(UNALLOCATABLE_N)
+
+    @pytest.mark.parametrize("n,message", [
+        ("0", "n >= "),
+        # numpy draws a binomial count as an int64
+        ("9223372036854775808", "2**63 - 1"), ("1180591620717411303424", "2**63 - 1"),
+    ])
+    @pytest.mark.parametrize("setting", ["fixed", "iid"])
+    def test_cohort_size_out_of_range_is_usage_error(self, capsys, setting, n, message):
+        code, out, err = run_main(capsys, ["simulate", "--n", n, "--epsilon", "4",
+                                           "--param-mode", "lower_alpha", "--setting", setting])
+        assert code == 2
+        assert out == "" and err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70])
+    def test_iid_transcript_replays_from_the_counts(self, capsys, seed):
+        # an iid simulate is run_private_min on IidCounts, both fed from one
+        # SeedSequence(seed) stream, bit for bit
+        from ldpmin.datagen import IidCounts
+        from ldpmin.params import choose_params
+        from ldpmin.protocol import run_private_min
+
+        code, out, _ = run_main(capsys, [
+            "simulate", "--model", "beta", "--model-alpha", "2", "--model-beta", "1",
+            "--x-min", "-1", "--delta", "0.3", "--n", "4096", "--epsilon", "1",
+            "--param-mode", "lower_alpha", "--setting", "iid", "--seed", str(seed)])
+        assert code == 0
+        model = harness.ModelTemplate("beta", alpha=2.0, beta=1.0, delta=0.3).place(-1.0)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        config = choose_params("lower_alpha", 4096, 1.0)
+        expected = run_private_min(IidCounts(model, 4096, rng), config, rng)
+        assert out == cli.transcript_json_lines(expected)
 
 
 TINY_CFG = """
@@ -355,6 +381,18 @@ class TestExperiment:
         code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
         assert code == 3
         assert err.startswith("error:")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("setting", ["fixed", "iid"])
+    def test_cohort_past_int64_exits_3(self, capsys, tmp_path, setting):
+        # numpy draws a binomial count as an int64: the sweep stops before any run
+        cfg = tmp_path / "int64.cfg"
+        cfg.write_text(TINY_CFG.replace("n_grid = 64, 128, 256", "n_grid = 9223372036854775808")
+                       .replace("setting = fixed", f"setting = {setting}"), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert err.startswith("error:") and "2**63 - 1" in err
         assert not out_dir.exists()
 
     def test_wide_fixed_sweep_builds_no_cohort(self, capsys, tmp_path):
@@ -648,6 +686,15 @@ class TestServeAndClient:
         ])
         assert code == 3
         assert "timeout" in err
+
+    def test_backlog_past_the_socket_limit_is_capped(self, capsys):
+        # listen() takes a C int: the backlog is capped at SOMAXCONN, as the kernel does
+        code, out, err = run_main(capsys, [
+            "serve", "--bind", "127.0.0.1:0", "--clients", "2147483648",
+            "--epsilon", "1", "--depth", "1", "--gamma", "0.2", "--timeout", "0.2",
+        ])
+        assert code == 3
+        assert out.startswith("LISTENING") and err == "error: session aborted: timeout\n"
 
     @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
     def test_serve_port_out_of_range_is_usage_error(self, capsys, port):

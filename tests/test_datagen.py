@@ -19,7 +19,7 @@ from ldpmin.datagen import (
 )
 from ldpmin.harness import ModelTemplate
 
-from conftest import make_rng
+from conftest import iid_values, make_rng
 
 PARAMETRIC_MODELS = [
     BetaScaled(0.5, 1.0, -1.0, 2.0),
@@ -219,7 +219,7 @@ class TestFarTailTruncNormal:
     def test_iid_cohort_matches_scipy_truncnorm(self):
         model = TruncNormal(0.0, 0.05, 0.5, 1.0)
         n = 10**4
-        sample = iid_cohort(model, n, make_rng(406)).values
+        sample = iid_values(model, n, make_rng(406)).values
         a, b = 0.5 / 0.05, 1.0 / 0.05
         ks = stats.kstest(sample, stats.truncnorm(a, b, loc=0.0, scale=0.05).cdf)
         assert ks.pvalue > 0.01
@@ -373,7 +373,7 @@ class TestIidCohort:
     def test_kolmogorov_smirnov_against_model(self):
         n = 10**5
         for model in (BetaScaled(2.0, 1.0, -1.0, 2.0), TruncNormal(0.0, 1.0, -1.0, 1.0)):
-            sample = iid_cohort(model, n, make_rng(404)).values
+            sample = iid_values(model, n, make_rng(404)).values
             u = np.sort(model.cdf(sample))
             grid = np.arange(1, n + 1) / n
             ks = max(np.max(np.abs(u - grid)), np.max(np.abs(u - (grid - 1.0 / n))))
@@ -381,13 +381,13 @@ class TestIidCohort:
 
     def test_zero_uniforms_hit_support_minimum(self):
         model = BetaScaled(2.0, 1.0, -0.5, 1.0)
-        values = iid_cohort(model, 4, ZeroRng()).values
+        values = iid_values(model, 4, ZeroRng()).values
         assert np.all(values == model.x_min)
 
     def test_sample_mean_tracks_beta_mean(self):
         model = BetaScaled(2.0, 1.0, -1.0, 2.0)
         n = 10**5
-        sample = iid_cohort(model, n, make_rng(405)).values
+        sample = iid_values(model, n, make_rng(405)).values
         mean = model.x_min + model.delta * (2.0 / 3.0)
         sd = model.delta * math.sqrt(2.0 / (9.0 * 4.0))  # beta(2,1) variance 2/36
         assert abs(sample.mean() - mean) < 3 * sd / math.sqrt(n)
@@ -414,11 +414,15 @@ class TestIidCohort:
         idx = np.array([0, 17, 17, 999])
         assert cohort.values_at(idx).tobytes() == expected[idx].tobytes()
         assert counting.levels == idx.size
-        assert cohort.values.tobytes() == expected.tobytes()
-        assert cohort.values is cohort.values  # evaluated once
+        assert cohort.values_at(np.arange(n)).tobytes() == expected.tobytes()
         assert counting.levels == idx.size + n
         assert cohort.bounds == (model.x_min, model.x_max)
-        assert cohort.true_min() == expected.min()
+
+    def test_is_read_by_the_baseline_only(self):
+        # an iid search counts from IidCounts; the deferred cohort has no counts
+        cohort = iid_cohort(BetaScaled(2.0, 1.0, -1.0, 0.3), 5, make_rng(408))
+        assert not isinstance(cohort, Cohort)
+        assert not hasattr(cohort, "count_at_or_below")
 
 
 class TestFatness:
@@ -493,7 +497,7 @@ class TestCohort:
     @pytest.mark.parametrize("make", [
         lambda: Cohort(np.array([0.25, -0.5, 1.0, 0.25, -1.0]), "fixed"),  # as --data gives
         lambda: fixed_cohort(BetaScaled(2.0, 1.0, -0.6, 1.2), 257).negated(),
-        lambda: iid_cohort(BetaScaled(2.0, 1.0, -0.6, 1.2), 257, make_rng(9)),
+        lambda: iid_values(BetaScaled(2.0, 1.0, -0.6, 1.2), 257, make_rng(9)),
     ], ids=["data", "negated", "iid"])
     def test_unsorted_cohort_counts_by_a_sorted_copy(self, make):
         cohort = make()
@@ -532,8 +536,26 @@ class TestIidCounts:
         replay = make_rng(41)
         assert counts.count_at_or_below(0.0) == replay.binomial(4096, self.MODEL.cdf(0.0))
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_an_empty_cohort(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            IidCounts(self.MODEL, n, make_rng(43))
+
     def test_outside_domain_rejected(self):
         counts = IidCounts(self.MODEL, 10, make_rng(42))
         for tau in (1.5, -1.5):
             with pytest.raises(ValueError, match="must lie in"):
                 counts.count_at_or_below(tau)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: fixed_cohort(BetaScaled(2.0, 1.0, -0.6, 1.2), n),
+    lambda n: IidCounts(BetaScaled(2.0, 1.0, -0.6, 1.2), n, make_rng(44)),
+], ids=["fixed", "iid-counts"])
+def test_sizes_past_int64_rejected(make):
+    # numpy draws a binomial count as an int64: the largest one still counts
+    counts = make(2**63 - 1)
+    assert 0 < counts.count_at_or_below(0.0) < 2**63 - 1
+    for n in (2**63, 2**70):
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            make(n)
