@@ -124,7 +124,7 @@ def unbiased_phi(sum_z: int, n: int, budget: RoundBudget) -> float:
 
 
 def debias(sum_z: int, two_n: float, correction: float) -> float:
-    """:func:`unbiased_phi` from 2n and :func:`phi_correction`, unchecked (a run's hot loop)."""
+    """:func:`unbiased_phi` from 2n and :func:`phi_correction`, unchecked (valid sums only)."""
     return correction * sum_z / two_n + 0.5
 
 

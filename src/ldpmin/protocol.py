@@ -6,16 +6,16 @@ user about the midpoint tau: the raw answer is sign(tau - x_i) with
 sign(0) = +1, so +1 means "my value is at most tau".  The answers are
 sanitized by randomized response at budget eps/L, their sum is debiased
 into an estimate phi of the fraction at or below tau, and the walk keeps
-the left half when phi >= gamma.  After L rounds the midpoint of the final
-interval is returned, so the discretization error alone is at most 2^-L.
+the left half when phi >= gamma, tested as sum >= ``config.threshold``.
+The final interval's midpoint is returned: discretization error <= 2^-L.
 
 The noise-free search is the same walk at eps = inf and gamma = 1/(2N):
 phi is then the plain fraction count/N, which reaches 1/(2N) exactly when
 at least one user sits at or below tau.
 
-A walk keeps one plain step (tau, sum_z, phi, branch) per round; its
-transcript builds the :class:`RoundRecord` s only when ``rounds`` is read, so
-a sweep, which reads only the estimate, builds none.
+A walk keeps one plain step (tau, sum_z) per round; its transcript builds
+the :class:`RoundRecord` s, phi and branch included, only when ``rounds`` is
+read, so a sweep, which reads only the estimate, builds none.
 
 A simulated run reads each round's count at tau from a count source (``n``
 and ``count_at_or_below``: a :class:`Cohort`, fixed ones included, or, for
@@ -102,11 +102,24 @@ class ProtocolConfig:
         return phi_correction(self.round_budget)
 
     @functools.cached_property
-    def degenerate_gamma(self) -> bool:
-        """gamma lies beyond phi at all answers +1, the estimate's largest value,
-        which forces every branch right: legal (tiny cohorts do it), worth marking.
+    def threshold(self) -> int:
+        """The least sum in [-n, n + 1] whose phi reaches gamma (n + 1: none does).
+        ``debias`` (a positive multiply, a divide and an add) is monotone, so for
+        every valid sum, sum_z >= threshold exactly when phi >= gamma.
         """
-        return self.gamma > 0.5 * self.correction + 0.5
+        lo, hi = -self.n, self.n + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if debias(mid, 2.0 * self.n, self.correction) >= self.gamma:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    @property
+    def degenerate_gamma(self) -> bool:
+        """All +1 answers miss the threshold, so every branch goes right (legal at tiny n)."""
+        return self.threshold > self.n
 
 
 class RoundRecord(NamedTuple):
@@ -121,17 +134,20 @@ class RoundRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Transcript:
-    """One run: its config, one step (tau, sum_z, phi, branch) per round, the
-    estimate.  ``rounds``, one record per step, is built on first read.
+    """One run: its config, one step (tau, sum_z) per round, the estimate.
+    ``rounds``, one record per step (phi and branch added), is built on first read.
     """
 
     config: ProtocolConfig
-    steps: tuple[tuple[float, int, float, str], ...]
+    steps: tuple[tuple[float, int], ...]
     estimate: float
 
     @functools.cached_property
     def rounds(self) -> tuple[RoundRecord, ...]:
-        return tuple(RoundRecord(t, *step) for t, step in enumerate(self.steps, 1))
+        c = self.config
+        return tuple(RoundRecord(t, tau, sum_z, debias(sum_z, 2.0 * c.n, c.correction),
+                                 BRANCH_LEFT if sum_z >= c.threshold else BRANCH_RIGHT)
+                     for t, (tau, sum_z) in enumerate(self.steps, 1))
 
 
 def user_respond(x: float, tau: float, budget: RoundBudget, rng) -> int:
@@ -147,24 +163,28 @@ def bisect(config: ProtocolConfig, round_sum) -> Transcript:
     """The interval walk behind every search.
 
     Round t queries the midpoint tau and takes ``round_sum(t, tau)``, the sum
-    of the N answers in {-1, +1}; it keeps the left half when the debiased
-    estimate (``unbiased_phi``, unchecked: every caller's sum is valid) reaches
-    ``config.gamma``.  Returns the midpoint of the final interval with one
-    plain step per round, which the transcript turns into records when read.
+    of the N answers in {-1, +1}; it keeps the left half when that sum reaches
+    ``config.threshold`` (so the debiased estimate reaches ``config.gamma``).
+    Returns the midpoint of the final interval with one step (tau, sum_z) per
+    round, which the transcript turns into records when read.
     """
-    two_n, correction, gamma = 2.0 * config.n, config.correction, config.gamma
+    threshold = config.threshold
     lo, hi = -1.0, 1.0
     steps = []
     for t in range(1, config.depth + 1):
         tau = lo + (hi - lo) / 2.0  # keeps tau an exact dyadic rational
         sum_z = round_sum(t, tau)
-        phi = debias(sum_z, two_n, correction)
-        if phi >= gamma:
-            branch, hi = BRANCH_LEFT, tau
+        if sum_z >= threshold:
+            hi = tau
         else:
-            branch, lo = BRANCH_RIGHT, tau
-        steps.append((tau, sum_z, phi, branch))
+            lo = tau
+        steps.append((tau, sum_z))
     return Transcript(config, tuple(steps), lo + (hi - lo) / 2.0)
+
+
+@functools.lru_cache(maxsize=64)  # an iid sweep's repetitions share one (n, depth)
+def _nonprivate_config(n: int, depth: int) -> ProtocolConfig:
+    return ProtocolConfig(epsilon=math.inf, depth=depth, gamma=1.0 / (2 * n), n=n)
 
 
 def run_nonprivate_min(counts, depth: int) -> Transcript:
@@ -174,8 +194,8 @@ def run_nonprivate_min(counts, depth: int) -> Transcript:
     gamma exactly when at least one user sits at or below tau.
     """
     n = counts.n
-    config = ProtocolConfig(epsilon=math.inf, depth=depth, gamma=1.0 / (2 * n), n=n)
-    return bisect(config, lambda t, tau: 2 * counts.count_at_or_below(tau) - n)
+    return bisect(_nonprivate_config(n, depth),
+                  lambda t, tau: 2 * counts.count_at_or_below(tau) - n)
 
 
 def run_private_min(counts, config: ProtocolConfig, rng=None, *, user_rngs=None) -> Transcript:
@@ -220,7 +240,7 @@ def run_private_max(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rn
     underlying mirrored search.
     """
     mirrored = run_private_min(cohort.negated(), config, rng, user_rngs=user_rngs)
-    steps = tuple((-tau, *rest) for tau, *rest in mirrored.steps)
+    steps = tuple((-tau, sum_z) for tau, sum_z in mirrored.steps)
     return Transcript(config, steps, -mirrored.estimate)
 
 

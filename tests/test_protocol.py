@@ -9,6 +9,7 @@ from ldpmin.datagen import BetaScaled, Cohort, IidCounts, TruncNormal, fixed_coh
 from ldpmin.mechanisms import (
     PrivacyBudget,
     RoundBudget,
+    debias,
     laplace_noise_many,
     phi_correction,
     rr_keep_probability,
@@ -196,6 +197,39 @@ class TestConfig:
         with pytest.raises(ValueError, match="gamma"):
             ProtocolConfig(1.0, 3, gamma, 4)
 
+    @pytest.mark.parametrize("config, degenerate", [
+        # phi at all answers +1 equals gamma: round 1 goes left
+        (ProtocolConfig(0.33840939862751007, 17, 50.73667026479139, 24), False),
+        # phi at all answers +1 falls short of gamma: every round goes right
+        (ProtocolConfig(0.0037235160352141897, 20, 5371.767336738776, 25), True),
+    ])
+    def test_degenerate_flag_agrees_with_the_walk(self, config, degenerate):
+        # gamma within an ulp of phi's largest value, where 0.5 * correction + 0.5
+        # is not the float that debias gives at sum_z = n
+        records, _ = eager_walk(config, lambda t, tau: config.n)
+        assert bisect(config, lambda t, tau: config.n).rounds == records
+        assert config.degenerate_gamma is degenerate
+        assert all((r.branch == BRANCH_RIGHT) is degenerate for r in records)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.01, max_value=100.0) | st.just(math.inf),
+           st.integers(min_value=1, max_value=MAX_DEPTH),
+           st.integers(min_value=1, max_value=2**62) | st.just(10**24),
+           st.data())
+    def test_threshold_is_the_float_rule(self, epsilon, depth, n, data):
+        correction = ProtocolConfig(epsilon, depth, 0.0, n).correction
+        phi = debias(data.draw(st.integers(min_value=-n, max_value=n)), 2.0 * n, correction)
+        gamma = data.draw(st.sampled_from([
+            0.0, math.inf, math.nextafter(debias(n, 2.0 * n, correction), math.inf),
+            phi, math.nextafter(phi, -math.inf), math.nextafter(phi, math.inf)]))
+        config = ProtocolConfig(epsilon, depth, max(gamma, 0.0), n)
+        threshold = config.threshold
+        assert -n <= threshold <= n + 1
+        for s in (*range(threshold - 2, threshold + 3), -n, n):
+            if -n <= s <= n:
+                assert (s >= threshold) == (debias(s, 2.0 * n, correction) >= config.gamma)
+        assert config.degenerate_gamma == (debias(n, 2.0 * n, correction) < config.gamma)
+
 
 class TestNonPrivate:
     def test_hand_trace_single_user(self):
@@ -210,6 +244,13 @@ class TestNonPrivate:
             t = run_nonprivate_min(fixed_cohort_of([-1.0, 0.2, 0.9]), depth)
             assert all(r.branch == BRANCH_LEFT for r in t.rounds)
             assert -1.0 <= t.estimate <= -1.0 + 2.0 ** (1 - depth)
+
+    def test_config_is_built_once_per_size_and_depth(self):
+        # an iid sweep's repetitions share (n, depth), so the threshold is found once
+        first = run_nonprivate_min(fixed_cohort_of([0.1, 0.2]), 5)
+        again = run_nonprivate_min(fixed_cohort_of([-0.3, 0.9]), 5)
+        assert first.config is again.config
+        assert run_nonprivate_min(fixed_cohort_of([0.1, 0.2]), 6).config is not first.config
 
     def test_round_records_expose_plain_frequency(self):
         t = run_nonprivate_min(fixed_cohort_of([-0.5, 0.5]), 1)
