@@ -24,9 +24,10 @@ Quantiles of both models are closed forms (the inverse incomplete
 beta function; the normal quantile on the side of the mean where the
 support's tail keeps its relative precision), clamped to the support; sampling
 is inverse CDF from one uniform per value so that seeded runs are replayable.
-scipy, which gives those closed forms, is imported on a model's first
-``cdf``, ``quantile`` or :func:`fatness_constant`, so a process that evaluates
-no model (the aggregator, a client, ``simulate --data``, ``fit``) never loads it.
+scipy, which gives those closed forms, is imported on a model's first ``cdf``,
+``quantile`` or :func:`fatness_constant` (a truncated normal's, when it is built,
+as it evaluates its edges), so a process that evaluates no model (the aggregator,
+a client, ``simulate --data``, ``fit``) never loads it.
 The flat beta (alpha = beta = 1, the uniform model) needs no scipy at all: its
 CDF and inverse are the identity on [0, 1] and B(1, 1) = 1, which is what scipy
 returns for them bit for bit, so a uniform run never loads it either.
@@ -52,11 +53,6 @@ def _special():
     return special
 
 
-def _check_levels(qs: np.ndarray) -> None:
-    if not np.all((qs >= 0.0) & (qs <= 1.0)):
-        raise ValueError("quantile levels must lie in [0, 1]")
-
-
 def _clamped_quantile(model, q):
     """The model's closed-form inverse CDF, clamped to the support and exact at its endpoints.
 
@@ -72,7 +68,8 @@ def _clamped_quantile(model, q):
             return model.x_max
         return _clip(float(model._inverse(q)), model.x_min, model.x_max)
     qs = np.atleast_1d(np.asarray(q, dtype=float))
-    _check_levels(qs)
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
+        raise ValueError("quantile levels must lie in [0, 1]")
     x = np.clip(model._inverse(qs), model.x_min, model.x_max)
     # the endpoint levels denote the support edges exactly, whatever the
     # rounding of the inverse
@@ -115,11 +112,10 @@ class BetaScaled:
     def fat_alpha(self) -> float:
         return self.alpha
 
-    def cdf(self, x):
+    def cdf(self, x: float) -> float:
         u = _clip((_checked(x) - self.x_min) / self.delta, 0.0, 1.0)
         # + 0.0 turns a -0.0 into the +0.0 betainc gives
-        out = u + 0.0 if self._flat else _special().betainc(self.alpha, self.beta, u)
-        return float(out) if np.isscalar(x) else out
+        return u + 0.0 if self._flat else float(_special().betainc(self.alpha, self.beta, u))
 
     def _inverse(self, qs):
         u = qs if self._flat else _special().betaincinv(self.alpha, self.beta, qs)
@@ -145,6 +141,14 @@ class TruncNormal:
             raise ValueError(
                 f"need -1 <= x_min < x_max <= 1, got [{self.x_min}, {self.x_max}]"
             )
+        # above the mean Phi(b) - Phi(a) cancels to 0 while the survival
+        # function Phi(-t) keeps full relative precision, so mirror there
+        side = -1.0 if self.x_min + self.x_max > 2.0 * self.mu else 1.0
+        object.__setattr__(self, "_side", side)
+        a, b = float(self._phi(self.x_min)), float(self._phi(self.x_max))
+        # Phi at the edges; _mass, their gap, is the truncation's normalizer
+        for name, value in (("_phi_min", a), ("_phi_max", b), ("_mass", abs(b - a))):
+            object.__setattr__(self, name, value)
         if not self._mass >= np.finfo(float).tiny:
             raise ValueError(
                 f"support [{self.x_min}, {self.x_max}] carries no probability mass "
@@ -156,46 +160,32 @@ class TruncNormal:
         # any truncated density is bounded away from zero near its minimum
         return 1.0
 
-    @property
-    def _side(self) -> float:
-        # above the mean Phi(b) - Phi(a) cancels to 0 while the survival
-        # function Phi(-t) keeps full relative precision, so mirror there
-        return -1.0 if self.x_min + self.x_max > 2.0 * self.mu else 1.0
-
     def _phi(self, x):
         """Phi(side * (x - mu) / sigma): monotone in x, decreasing when side = -1."""
         return _special().ndtr(self._side * (x - self.mu) / self.sigma)
 
-    @functools.cached_property
-    def _mass(self) -> float:
-        """Normal probability of the support, the truncation's normalizer."""
-        return float(abs(self._phi(self.x_max) - self._phi(self.x_min)))
-
-    def cdf(self, x):
-        xs = _clip(_checked(x), self.x_min, self.x_max)
-        out = abs(self._phi(xs) - self._phi(self.x_min)) / self._mass
-        return float(out) if np.isscalar(x) else out
+    def cdf(self, x: float) -> float:
+        x = _clip(_checked(x), self.x_min, self.x_max)
+        return float(abs(self._phi(x) - self._phi_min) / self._mass)
 
     def _inverse(self, qs):
-        a, b = self._phi(self.x_min), self._phi(self.x_max)
+        a, b = self._phi_min, self._phi_max
         return self.mu + self._side * self.sigma * _special().ndtri(a + qs * (b - a))
 
     def quantile(self, q):
         return _clamped_quantile(self, q)
 
 
-def _checked(x):
-    """x as a float (one round's query) or an array, refused outside [-1, 1]; NaN passes."""
-    scalar = isinstance(x, float)
-    xs = x if scalar else np.asarray(x, dtype=float)
-    if abs(xs) > 1.0 if scalar else np.any(np.abs(xs) > 1.0):
+def _checked(x: float) -> float:
+    """x (one round's query), refused outside [-1, 1]; NaN passes."""
+    if abs(x) > 1.0:
         raise ValueError("evaluation points must lie in [-1, 1]")
-    return xs
+    return x
 
 
-def _clip(x, lo: float, hi: float):
-    # np.clip without its per-call cost on a float; a NaN fails both tests and stays
-    return (lo if x < lo else hi if x > hi else x) if isinstance(x, float) else np.clip(x, lo, hi)
+def _clip(x: float, lo: float, hi: float) -> float:
+    # np.clip without its per-call cost; a NaN fails both tests and stays
+    return lo if x < lo else hi if x > hi else x
 
 
 class Cohort:
@@ -240,12 +230,11 @@ class Cohort:
 class DeferredCohort:
     """An iid cohort as the Laplace baseline reads it: its users' uniform
     levels, value i being ``model.quantile(levels[i])``, evaluated only for
-    the users read.  The quantile is clamped to the model's support, so that
-    is the ``bounds``.
+    the users read.  The quantile checks each level it reads and clamps to the
+    model's support, so that is the ``bounds``.
     """
 
     def __init__(self, model, levels: np.ndarray):
-        _check_levels(levels)
         self.model, self.levels, self.n = model, levels, int(levels.size)
         self.bounds = (model.x_min, model.x_max)
 

@@ -43,7 +43,10 @@ MECH_LAPLACE = "laplace"
 MECH_NONPRIVATE = "nonprivate"
 MECHANISMS = (MECH_BINARY_SEARCH, MECH_LAPLACE, MECH_NONPRIVATE)
 _MECH_CODE = {name: i for i, name in enumerate(MECHANISMS)}
-MODEL_KINDS = ("uniform", "beta", "truncnorm")
+# each model kind and the template fields it reads
+_MODEL_PARAMS = {"uniform": ("delta",), "beta": ("alpha", "beta", "delta"),
+                "truncnorm": ("mu", "sigma", "delta")}
+MODEL_KINDS = tuple(_MODEL_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class ModelTemplate:
 
     kind "uniform" is shorthand for a flat beta model.  ``delta`` is the
     support width; the template is instantiated at concrete x_min values
-    by :meth:`place`.
+    by :meth:`place`.  A field the kind does not read keeps its default.
     """
 
     kind: str = "uniform"
@@ -65,6 +68,9 @@ class ModelTemplate:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        for f in fields(self)[1:]:  # the fields after kind
+            if f.name not in _MODEL_PARAMS[self.kind] and getattr(self, f.name) != f.default:
+                raise ValueError(f"model {self.kind!r} does not read {f.name}")
         if not 0.0 < self.delta <= 2.0:
             raise ValueError(f"delta must lie in (0, 2], got {self.delta}")
 

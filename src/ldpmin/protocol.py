@@ -14,7 +14,7 @@ phi is then the plain fraction count/N, which reaches 1/(2N) exactly when
 at least one user sits at or below tau.
 
 A walk keeps one plain step (tau, sum_z) per round; its transcript builds
-the :class:`RoundRecord` s, phi and branch included, only when ``rounds`` is
+the :class:`RoundRecord` s, phi and branch included, when ``rounds`` is
 read, so a sweep, which reads only the estimate, builds none.
 
 A simulated run reads each round's count at tau from a count source (``n``
@@ -64,7 +64,15 @@ def sign(v: float) -> int:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Run parameters: total budget, depth, decision threshold, cohort size."""
+    """Run parameters: total budget, depth, decision threshold, cohort size.
+
+    Derived once, at construction: ``budget`` (the total), ``round_budget``
+    (eps/L), randomized response's ``p_keep`` and phi's debiasing
+    ``correction`` at the round budget, and ``threshold``, the least sum in
+    [-n, n + 1] whose phi reaches gamma (n + 1: none does).  ``debias`` (a
+    positive multiply, a divide and an add) is monotone, so for every valid
+    sum, sum_z >= threshold exactly when phi >= gamma.
+    """
 
     epsilon: float
     depth: int
@@ -72,7 +80,7 @@ class ProtocolConfig:
     n: int
 
     def __post_init__(self):
-        PrivacyBudget(self.epsilon)  # raises on a NaN or nonpositive epsilon
+        budget = PrivacyBudget(self.epsilon)  # raises on a NaN or nonpositive epsilon
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(
                 f"depth must lie in [1, {MAX_DEPTH}] (float64 midpoint resolution), "
@@ -82,39 +90,21 @@ class ProtocolConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if math.isinf(self.correction * self.n):  # so phi * sum_z is finite
+        round_budget = budget.split(self.depth)
+        correction = phi_correction(round_budget)
+        if math.isinf(correction * self.n):  # so phi * sum_z is finite
             raise ValueError(f"epsilon/depth is too small for n = {self.n}: phi overflows")
-
-    @functools.cached_property  # these five are derived once per config
-    def budget(self) -> PrivacyBudget:
-        return PrivacyBudget(self.epsilon)
-
-    @functools.cached_property
-    def round_budget(self) -> RoundBudget:
-        return self.budget.split(self.depth)
-
-    @functools.cached_property
-    def p_keep(self) -> float:  # randomized response's, at the round budget
-        return rr_keep_probability(self.round_budget)
-
-    @functools.cached_property
-    def correction(self) -> float:  # phi's debiasing factor, at the round budget
-        return phi_correction(self.round_budget)
-
-    @functools.cached_property
-    def threshold(self) -> int:
-        """The least sum in [-n, n + 1] whose phi reaches gamma (n + 1: none does).
-        ``debias`` (a positive multiply, a divide and an add) is monotone, so for
-        every valid sum, sum_z >= threshold exactly when phi >= gamma.
-        """
         lo, hi = -self.n, self.n + 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if debias(mid, 2.0 * self.n, self.correction) >= self.gamma:
+            if debias(mid, 2.0 * self.n, correction) >= self.gamma:
                 hi = mid
             else:
                 lo = mid + 1
-        return lo
+        for name, value in (("budget", budget), ("round_budget", round_budget),
+                            ("p_keep", rr_keep_probability(round_budget)),
+                            ("correction", correction), ("threshold", lo)):
+            object.__setattr__(self, name, value)
 
     @property
     def degenerate_gamma(self) -> bool:
@@ -132,17 +122,16 @@ class RoundRecord(NamedTuple):
     branch: str
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """One run: its config, one step (tau, sum_z) per round, the estimate.
-    ``rounds``, one record per step (phi and branch added), is built on first read.
+    ``rounds``, one record per step (phi and branch added), is built when read.
     """
 
     config: ProtocolConfig
     steps: tuple[tuple[float, int], ...]
     estimate: float
 
-    @functools.cached_property
+    @property
     def rounds(self) -> tuple[RoundRecord, ...]:
         c = self.config
         return tuple(RoundRecord(t, tau, sum_z, debias(sum_z, 2.0 * c.n, c.correction),

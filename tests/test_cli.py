@@ -94,6 +94,21 @@ class TestSimulate:
         ])
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("model_args, message", [
+        (["--model-alpha", "2"], "model 'uniform' does not read alpha"),
+        (["--model", "uniform", "--sigma", "0.5"], "model 'uniform' does not read sigma"),
+        (["--model", "beta", "--mu", "0.2"], "model 'beta' does not read mu"),
+        (["--model", "truncnorm", "--model-beta", "3"], "model 'truncnorm' does not read beta"),
+    ])
+    def test_model_parameter_the_kind_never_reads_is_usage_error(self, capsys, model_args,
+                                                                 message):
+        code, out, err = run_main(capsys, [
+            "simulate", "--n", "4096", *model_args, "--delta", "0.3", "--epsilon", "1",
+            "--param-mode", "lower_alpha", "--seed", "7",
+        ])
+        assert code == 2
+        assert out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("data", ["nan,0.5", "1.5,0.5"])
     def test_data_outside_the_domain_is_usage_error(self, capsys, data):
         code, out, err = run_main(capsys, [
@@ -272,6 +287,15 @@ class TestExperiment:
         code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 3
         assert "line 1" in err
+
+    def test_model_parameter_the_kind_never_reads_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(TINY_CFG + "alpha = 2\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert err == f"error: {cfg}: model 'uniform' does not read alpha\n"
+        assert not out_dir.exists()
 
     def test_empty_mechanisms_exits_3_with_line(self, capsys, tmp_path):
         cfg = tmp_path / "none.cfg"

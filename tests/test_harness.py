@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -57,6 +58,21 @@ class TestModelTemplate:
     def test_infeasible_placement_rejected(self):
         with pytest.raises(ValueError, match="placement"):
             UNIFORM.place(0.9)
+
+    @pytest.mark.parametrize("kind, reads", [
+        ("uniform", {"delta"}),
+        ("beta", {"alpha", "beta", "delta"}),
+        ("truncnorm", {"mu", "sigma", "delta"}),
+    ])
+    def test_a_field_the_kind_never_reads_is_refused(self, kind, reads):
+        # (alpha, beta, mu, sigma, delta) off their defaults 1, 1, 0, 1, 2
+        changed = {"alpha": 2.0, "beta": 3.0, "mu": 0.2, "sigma": 0.4, "delta": 0.5}
+        ModelTemplate(kind, **{name: changed[name] for name in reads})
+        for name in changed.keys() - reads:
+            with pytest.raises(ValueError, match=f"^model '{kind}' does not read {name}$"):
+                ModelTemplate(kind, **{name: changed[name]})
+            default = next(f.default for f in fields(ModelTemplate) if f.name == name)
+            ModelTemplate(kind, **{name: default})  # a default it does not read passes
 
     def test_beta_and_truncnorm_kinds(self):
         beta = ModelTemplate(kind="beta", alpha=2.0, beta=1.0, delta=0.5).place(-0.25)
@@ -240,7 +256,7 @@ class TestRunExperiment:
         config = choose_params("lower_alpha", 64, 2.0)
         t = run_private_min(Cohort(np.linspace(-0.5, 0.5, 64), "fixed"), config,
                             rep_rng(0, MECH_BINARY_SEARCH, 64, 2.0, -0.5, 0))
-        assert "rounds" not in t.__dict__
+        assert built == []
         assert len(t.rounds) == config.depth == len(built)
 
 

@@ -15,6 +15,7 @@ from ldpmin.mechanisms import (
     rr_keep_probability,
     unbiased_phi,
 )
+from ldpmin import protocol
 from ldpmin.protocol import (
     BRANCH_LEFT,
     BRANCH_RIGHT,
@@ -150,7 +151,6 @@ class TestTranscript:
                 config, always_two_binomials(fixed_cohort_of(negated), config, make_rng(seed)))),
         }
         for name, (t, (records, estimate)) in runs.items():
-            assert "rounds" not in t.__dict__, name
             if name == "max":  # the mirrored search's records, midpoints reflected
                 records = tuple(r._replace(tau=-r.tau) for r in records)
                 estimate = -estimate
@@ -163,8 +163,8 @@ class TestTranscript:
         t1 = run_private_min(cohort, config, make_rng(42))
         t2 = run_private_min(cohort, config, make_rng(42))
         before = hash(t1)
-        assert len(t1.rounds) == 6 and t1.rounds is t1.rounds
-        assert "rounds" in t1.__dict__ and "rounds" not in t2.__dict__
+        assert len(t1.rounds) == 6 and t1.rounds == t1.rounds
+        assert not hasattr(t1, "__dict__")  # a transcript caches nothing
         assert t1 == t2 and hash(t1) == before == hash(t2)
 
 
@@ -179,6 +179,40 @@ class TestConfig:
         assert math.isfinite(phi_correction(edge.round_budget))
         for sum_z in (-1, 1):
             assert math.isfinite(unbiased_phi(sum_z, 1, edge.round_budget))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.01, max_value=100.0) | st.just(math.inf),
+           st.integers(min_value=1, max_value=MAX_DEPTH),
+           st.floats(min_value=0.0, max_value=2.0),
+           st.integers(min_value=1, max_value=2**62))
+    def test_derived_values_are_set_at_construction(self, epsilon, depth, gamma, n):
+        built = []
+
+        def counting_budget(eps):
+            built.append(eps)
+            return PrivacyBudget(eps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "PrivacyBudget", counting_budget)
+            config = ProtocolConfig(epsilon, depth, gamma, n)
+        assert len(built) == 1
+        derived = {k: vars(config)[k]
+                   for k in ("budget", "round_budget", "p_keep", "correction", "threshold")}
+        round_budget = RoundBudget(epsilon / depth)
+        correction = phi_correction(round_budget)
+        assert derived["budget"] == PrivacyBudget(epsilon)
+        assert derived["round_budget"] == round_budget
+        assert derived["p_keep"].hex() == rr_keep_probability(round_budget).hex()
+        assert derived["correction"].hex() == correction.hex()
+        # the float rule: the least sum in [-n, n + 1] whose debiased estimate reaches gamma
+        threshold = derived["threshold"]
+        assert threshold == n + 1 or debias(threshold, 2.0 * n, correction) >= gamma
+        assert threshold == -n or debias(threshold - 1, 2.0 * n, correction) < gamma
+        # equality, hash and repr see only the four fields
+        twin = ProtocolConfig(epsilon, depth, gamma, n)
+        assert config == twin and hash(config) == hash(twin)
+        assert repr(config) == (f"ProtocolConfig(epsilon={epsilon!r}, depth={depth}, "
+                                f"gamma={gamma!r}, n={n})")
 
     def test_derived_values_are_computed_once(self):
         config = ProtocolConfig(3.0, 6, 0.4, 50)
