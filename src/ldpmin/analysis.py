@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import fatness_constant
-
 
 def rr_concentration_rate(epsilon: float) -> float:
     """(e^eps - 1)^2 / (4 (e^eps + 1) e^eps), overflow-safe, -> 1/4 at inf."""
@@ -72,7 +70,7 @@ def error_bound(model, config, setting: str) -> ErrorBound:
 
         Q + exp(-rate(eps/L) gamma^2 N) + 2^{-L} ,
 
-    with alpha the model's ``fat_alpha``, C its :func:`fatness_constant`, and
+    with alpha the model's ``fat_alpha``, C its ``fatness_constant()``, and
     Q = 2 (2 gamma / C)^{1/alpha} for a fixed cohort, and for an i.i.d. one
     2 (1/C)^{1/alpha} (ceil(2 gamma N))^{rising 1/alpha} / (N+1)^{rising 1/alpha},
     which is 2 ceil(2 gamma N) / (C (N + 1)) at alpha = 1.  A C of 0, or a
@@ -82,7 +80,7 @@ def error_bound(model, config, setting: str) -> ErrorBound:
         raise ValueError(f"setting must be 'fixed' or 'iid', got {setting!r}")
     gamma, n, alpha = config.gamma, config.n, model.fat_alpha
     try:
-        c = fatness_constant(model)
+        c = model.fatness_constant()
         if setting == "fixed":
             quantile = 2.0 * (2.0 * gamma / c) ** (1.0 / alpha)
         else:

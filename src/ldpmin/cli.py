@@ -32,6 +32,9 @@ EXIT_RUNTIME = 3
 RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(harness.CellResult))
 BOUND_COLUMNS = ("n", "epsilon", "x_min", "quantile_term", "noise_term",
                  "discretization_term", "bound", "applicable", "err_over_bound")
+# simulate's model flags, by the ModelTemplate field each sets
+MODEL_FLAGS = {"kind": "--model", "alpha": "--model-alpha", "beta": "--model-beta",
+               "delta": "--delta", "mu": "--mu", "sigma": "--sigma"}
 
 
 class UsageError(ValueError):
@@ -95,12 +98,12 @@ def _parse_epsilon(text: str) -> float:
 
 
 def _simulate_cohort(args, rng):
-    """The count source a simulated search reads: a cohort, or an iid cohort's counts."""
-    model_fields = {f.name for f in dataclasses.fields(harness.ModelTemplate)}
-    model_args = {k: v for k, v in vars(args).items() if k in model_fields}
-    if "kind" in model_args:  # an unknown --model is refused even beside --data
-        harness.ModelTemplate(kind=model_args["kind"])
+    """The count source a simulated search reads: a cohort, or a model's fixed or iid counts."""
+    model_args = {k: v for k, v in vars(args).items() if k in MODEL_FLAGS}  # the flags given
     if args.data is not None:
+        if model_args:
+            flags = ", ".join(MODEL_FLAGS[k] for k in model_args)
+            raise UsageError(f"--data takes no model flag ({flags})")
         try:
             values = [float(s) for s in args.data.split(",") if s.strip()]
         except ValueError:
@@ -280,17 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="schedule that sets depth and gamma: "
                           "lower_alpha | known_alpha:<a0> | unknown_alpha")
     # model flags left out take ModelTemplate's defaults
-    model_flag = dict(default=argparse.SUPPRESS)
-    sim.add_argument("--model", dest="kind", help=" | ".join(harness.MODEL_KINDS), **model_flag)
-    sim.add_argument("--model-alpha", dest="alpha", type=float, **model_flag)
-    sim.add_argument("--model-beta", dest="beta", type=float, **model_flag)
+    sim.add_argument("--model", dest="kind", default=argparse.SUPPRESS,
+                     help=" | ".join(harness.MODEL_KINDS))
+    for field, flag in list(MODEL_FLAGS.items())[1:]:  # the real-valued parameters
+        sim.add_argument(flag, dest=field, type=float, default=argparse.SUPPRESS)
     sim.add_argument("--x-min", type=float, default=-1.0)
-    sim.add_argument("--delta", type=float, **model_flag)
-    sim.add_argument("--mu", type=float, **model_flag)
-    sim.add_argument("--sigma", type=float, **model_flag)
     sim.add_argument("--setting", default="fixed", choices=["fixed", "iid"])
     sim.add_argument("--data", default=None,
-                     help="comma-separated explicit user values (overrides --model)")
+                     help="comma-separated explicit user values (no model flag)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default=None, help="write the transcript here instead of stdout")
     sim.set_defaults(func=cmd_simulate)

@@ -1,10 +1,11 @@
 """Synthetic data models with controllable left-tail fatness, plus cohorts.
 
-A model here is any object with ``cdf``, ``quantile``, ``x_min``, ``x_max``
-and ``fat_alpha``.  The two models are a rescaled beta distribution
-(whose first shape parameter is exactly the fatness exponent of the left
-tail) and a truncated normal (always exponent 1, like any truncated
-density).
+A model here is any object with ``cdf``, ``quantile``, ``x_min``, ``x_max``,
+``fat_alpha`` and ``fatness_constant``, the closed-form C with F(x) >= C (x -
+x_min)^alpha, a Python float: one past float64 raises ``OverflowError`` or
+``ZeroDivisionError`` instead of giving inf or 0.  The two models are a
+rescaled beta distribution (whose first shape parameter is exactly the
+fatness exponent of the left tail) and a truncated normal (always exponent 1).
 
 Cohorts come in two flavours, and a search reads only their counts
 (``count_at_or_below``), which each flavour gives without its values at a
@@ -13,7 +14,7 @@ cost that does not grow with N:
 * fixed: user i holds the deterministic quantile F*((i-1)/(N-1)), so the
   empirical CDF of the cohort interpolates F exactly; :func:`fixed_cohort`
   evaluates the quantile only next to the user a count ends at, or at the
-  users a reader reads;
+  users a reader reads; of the cohorts, it alone memoizes its counts;
 * iid: users hold independent draws from F.  Every search reads
   :class:`IidCounts`, which draws an iid cohort's counts from their exact law
   and holds no values; the Laplace baseline, which reads values, reads
@@ -25,7 +26,7 @@ beta function; the normal quantile on the side of the mean where the
 support's tail keeps its relative precision), clamped to the support; sampling
 is inverse CDF from one uniform per value so that seeded runs are replayable.
 scipy, which gives those closed forms, is imported on a model's first ``cdf``,
-``quantile`` or :func:`fatness_constant` (a truncated normal's, when it is built,
+``quantile`` or ``fatness_constant`` (a truncated normal's, when it is built,
 as it evaluates its edges), so a process that evaluates no model (the aggregator,
 a client, ``simulate --data``, ``fit``) never loads it.
 The flat beta (alpha = beta = 1, the uniform model) needs no scipy at all: its
@@ -124,6 +125,13 @@ class BetaScaled:
     def quantile(self, q):
         return _clamped_quantile(self, q)
 
+    def fatness_constant(self) -> float:
+        """The sharp C: min{1, 1/(alpha B(alpha, beta))} / delta^alpha."""
+        # min{1, 1/(alpha B)} without dividing by a B that underflows to 0
+        b = 1.0 if self._flat else float(_special().beta(self.alpha, self.beta))
+        c0 = 1.0 / max(1.0, self.alpha * b)
+        return c0 / self.delta**self.alpha
+
 
 @dataclass(frozen=True)
 class TruncNormal:
@@ -175,6 +183,12 @@ class TruncNormal:
     def quantile(self, q):
         return _clamped_quantile(self, q)
 
+    def fatness_constant(self) -> float:
+        """C at exponent 1: the smallest density value on the support."""
+        # the density is smallest at the support edge farther from mu
+        t = max(self.mu - self.x_min, self.x_max - self.mu) / self.sigma
+        return math.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * self.sigma * self._mass)
+
 
 def _checked(x: float) -> float:
     """x (one round's query), refused outside [-1, 1]; NaN passes."""
@@ -201,7 +215,7 @@ class Cohort:
             raise ValueError("cohort values must lie in [-1, 1]")
         if setting not in ("fixed", "iid"):
             raise ValueError(f"setting must be 'fixed' or 'iid', got {setting!r}")
-        self.values, self.setting, self.n, self._counts = v, setting, int(v.size), {}
+        self.values, self.setting, self.n = v, setting, int(v.size)
 
     def true_min(self) -> float:
         return float(self.values.min())
@@ -214,13 +228,7 @@ class Cohort:
         return np.sort(self.values)
 
     def count_at_or_below(self, tau: float) -> int:
-        """Users with value <= tau, counted once per tau."""
-        k = self._counts.get(tau)
-        if k is None:
-            k = self._counts[tau] = self._count(tau)
-        return k
-
-    def _count(self, tau: float) -> int:  # by binary search in the sorted values
+        """Users with value <= tau, by binary search in the sorted values."""
         return int(np.searchsorted(self._sorted, tau, side="right"))
 
     def negated(self) -> "Cohort":
@@ -242,26 +250,29 @@ class DeferredCohort:
         return self.model.quantile(self.levels[idx])
 
 
-class FixedCohort(Cohort):
+class FixedCohort:
     """The fixed cohort of ``model``: value i is ``model.quantile(i / (n - 1))``,
     i = 0..n-1, evaluated only where read.
 
     A count at tau starts from i = floor((n - 1) F(tau)) and walks to the first
     value above tau in doubling strides, then bisects the last stride: O(1)
     quantiles where values are distinct, O(log n) where many users share one.
-    While the quantile is nondecreasing that is the count of ``values``.
+    While the quantile is nondecreasing that is the count of the values.
     """
 
     def __init__(self, model, n: int):
-        self.model, self.n, self.setting, self._counts = model, n, "fixed", {}
+        self.model, self.n, self._counts = model, n, {}
         self.bounds = (model.x_min, model.x_max)
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        return self.values_at(np.arange(self.n))
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.model.quantile(idx / (self.n - 1))
+
+    def count_at_or_below(self, tau: float) -> int:
+        """Users with value <= tau, counted once per tau."""
+        k = self._counts.get(tau)
+        if k is None:
+            k = self._counts[tau] = self._count(tau)
+        return k
 
     def _count(self, tau: float) -> int:  # the index of the first value above tau
         n, quantile = self.n, self.model.quantile
@@ -331,24 +342,3 @@ class IidCounts:
         self._known.insert(i, (tau, f, k))
         return k
 
-
-def fatness_constant(model) -> float:
-    """Closed-form C with F(x) >= C (x - x_min)^alpha on (x_min, x_max).
-
-    For the rescaled beta model the sharp constant is
-    min{1, 1/(alpha B(alpha, beta))} / delta^alpha.  For the truncated
-    normal the exponent is 1 and C is the smallest density value on the
-    support (attained at a boundary).  Any other model carries no closed
-    form and is rejected.  C is a Python float: a delta^alpha past float64
-    raises ``OverflowError`` or ``ZeroDivisionError`` instead of giving inf or 0.
-    """
-    if isinstance(model, BetaScaled):
-        # min{1, 1/(alpha B)} without dividing by a B that underflows to 0
-        b = 1.0 if model._flat else float(_special().beta(model.alpha, model.beta))
-        c0 = 1.0 / max(1.0, model.alpha * b)
-        return c0 / model.delta**model.alpha
-    if isinstance(model, TruncNormal):
-        # the density is smallest at the support edge farther from mu
-        t = max(model.mu - model.x_min, model.x_max - model.mu) / model.sigma
-        return math.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * model.sigma * model._mass)
-    raise TypeError(f"no closed-form fatness constant for {type(model).__name__}")

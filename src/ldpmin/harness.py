@@ -85,9 +85,7 @@ class ModelTemplate:
                              f"x_min={x_min}: x_min + delta rounds back to x_min")
         if self.kind == "truncnorm":
             return TruncNormal(self.mu, self.sigma, x_min, x_max)
-        a = 1.0 if self.kind == "uniform" else self.alpha
-        b = 1.0 if self.kind == "uniform" else self.beta
-        return BetaScaled(a, b, x_min, x_max - x_min)
+        return BetaScaled(self.alpha, self.beta, x_min, x_max - x_min)
 
     def default_xmin_grid(self) -> tuple[float, ...]:
         """Six evenly spaced admissible placements, k/5 * (2 - delta) - 1.

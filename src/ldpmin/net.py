@@ -16,7 +16,7 @@ decimal, so dyadic midpoints survive the trip bit-exactly.
 
     client -> server:  HELLO                       no field
                        RESP <round> <bit>          bit in {-1, 1}
-    server -> client:  START <session_id> <depth> <epsilon_round>
+    server -> client:  START <depth> <epsilon_round>
                        QUERY <round> <tau>         the midpoint, all a client needs
                        RESULT <estimate>
                        ABORT <reason>
@@ -38,7 +38,6 @@ most depth + 2 of them.
 
 from __future__ import annotations
 
-import itertools
 import socket
 import time
 from dataclasses import dataclass
@@ -50,8 +49,6 @@ from .mechanisms import unbiased_phi  # noqa: F401 - bench/server.py traces it h
 from .protocol import MAX_DEPTH, ProtocolConfig, Transcript, bisect, user_respond
 
 MAX_LINE = 256  # bytes in one line, newline excluded, that either end reads
-
-_session_counter = itertools.count(1)
 
 
 class SessionAborted(RuntimeError):
@@ -112,9 +109,9 @@ class MinServer:
     """Aggregator for one session of private minimum finding.
 
     Binds immediately (``address`` is available right after construction);
-    :meth:`run` accepts ``expected_clients`` connections, executes the
-    rounds and returns the transcript.  ``wire_log`` keeps every raw
-    inbound line as (client_index, line) pairs for auditing, in read order.
+    :meth:`run` accepts ``config.n`` connections, executes the rounds and
+    returns the transcript.  ``wire_log`` keeps every raw inbound line as
+    (client_index, line) pairs for auditing, in read order.
     """
 
     def __init__(self, config: ProtocolConfig, expected_clients: int,
@@ -125,14 +122,13 @@ class MinServer:
                 f"expected_clients = {expected_clients} must equal config.n = {config.n}"
             )
         self.config = config
-        self.expected_clients = expected_clients
         self.round_timeout = check_timeout(round_timeout)
         self.wire_log: list[tuple[int, str]] = []
         self._clients: list[_Client] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
-        self._sock.listen(min(expected_clients, socket.SOMAXCONN))  # the kernel caps it anyway
+        self._sock.listen(min(config.n, socket.SOMAXCONN))  # the kernel caps it anyway
         self.address = self._sock.getsockname()
 
     def _broadcast(self, line: str) -> None:
@@ -155,7 +151,7 @@ class MinServer:
     def _accept_clients(self) -> None:
         deadline = time.monotonic() + self.round_timeout  # one deadline, as for a barrier
         try:
-            for index in range(self.expected_clients):
+            for index in range(self.config.n):
                 # at the deadline a timeout of 0 only takes a connection already queued
                 self._sock.settimeout(max(deadline - time.monotonic(), 0.0))
                 conn, _ = self._sock.accept()
@@ -203,11 +199,10 @@ class MinServer:
         return total
 
     def run(self) -> Transcript:
-        session_id = f"s{next(_session_counter):04d}"
         self._accept_clients()
         self._expect_hellos()
         epsilon_round = format_real(self.config.round_budget.epsilon_round)
-        self._broadcast(f"START {session_id} {self.config.depth} {epsilon_round}")
+        self._broadcast(f"START {self.config.depth} {epsilon_round}")
         transcript = bisect(self.config, self._query_round)
         self._broadcast(f"RESULT {format_real(transcript.estimate)}")
         self._close()
@@ -240,7 +235,7 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int | None,
                 if kind == "START":
                     if budget is not None:
                         raise ValueError("a second START")
-                    _session_id, depth, epsilon_round = fields
+                    depth, epsilon_round = fields
                     depth, budget = int(depth), RoundBudget(float(epsilon_round))
                     if not 1 <= depth <= MAX_DEPTH:  # as ProtocolConfig holds it
                         raise ValueError("a depth outside [1, MAX_DEPTH]")

@@ -18,12 +18,12 @@ the :class:`RoundRecord` s, phi and branch included, when ``rounds`` is
 read, so a sweep, which reads only the estimate, builds none.
 
 A simulated run reads each round's count at tau from a count source (``n``
-and ``count_at_or_below``: a :class:`Cohort`, fixed ones included, or, for
-every iid search, ``datagen.IidCounts``, which draws the counts from the run's
-stream), then draws the answer sum as two binomials from that stream (users
-at or below tau first), so transcripts replay from (counts, config, seed); a
-binomial over no users is skipped, as numpy returns 0 for it before touching
-the stream.  Passing a cohort and ``user_rngs`` simulates one independent
+and ``count_at_or_below``: a :class:`Cohort`, a ``datagen.FixedCohort`` or,
+for every iid search, ``datagen.IidCounts``, which draws the counts from the
+run's stream), then draws the answer sum as two binomials from that stream
+(users at or below tau first), so transcripts replay from (counts, config,
+seed); a binomial over no users is skipped, as numpy returns 0 for it before
+touching the stream.  Passing a cohort and ``user_rngs`` simulates one independent
 stream per user instead (one uniform per sanitized bit); the estimator
 distribution is identical either way.
 """

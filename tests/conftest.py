@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpmin.datagen import Cohort, iid_cohort
+from ldpmin.datagen import Cohort, fixed_cohort, iid_cohort
 from ldpmin.mechanisms import (
     PrivacyBudget,
     RoundBudget,
@@ -96,6 +96,11 @@ def respond_round(values: np.ndarray, tau: float, budget: RoundBudget, rng) -> n
     answers for one round, drawn in user-index order."""
     raw = np.where(tau - values >= 0.0, 1, -1)
     return rr_respond_many(raw, budget, rng)
+
+
+def fixed_values(model, n: int) -> np.ndarray:
+    """The n values of ``fixed_cohort(model, n)``, every one's quantile read."""
+    return fixed_cohort(model, n).values_at(np.arange(n))
 
 
 def iid_values(model, n: int, rng) -> Cohort:

@@ -94,6 +94,19 @@ class TestSimulate:
         ])
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--model", "uniform"), ("--model", "gauss"), ("--model-alpha", "2"),
+        ("--model-beta", "2"), ("--delta", "1"), ("--mu", "3"), ("--sigma", "0.5"),
+    ])
+    def test_data_takes_no_model_flag(self, capsys, flag, value):
+        # --data gives the users' values, so a model flag would be ignored
+        code, out, err = run_main(capsys, [
+            "simulate", "--data", "0.5", flag, value, "--epsilon", "inf",
+            "--depth", "3", "--gamma", "0.5",
+        ])
+        assert code == 2
+        assert out == "" and err == f"error: --data takes no model flag ({flag})\n"
+
     @pytest.mark.parametrize("model_args, message", [
         (["--model-alpha", "2"], "model 'uniform' does not read alpha"),
         (["--model", "uniform", "--sigma", "0.5"], "model 'uniform' does not read sigma"),

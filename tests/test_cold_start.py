@@ -107,8 +107,8 @@ def test_beta_model_is_built_without_scipy():
 
 def test_fatness_constant_loads_scipy():
     assert scipy_loaded("""
-        from ldpmin.datagen import BetaScaled, fatness_constant
-        fatness_constant(BetaScaled(2.0, 1.0, -1.0, 0.3))
+        from ldpmin.datagen import BetaScaled
+        BetaScaled(2.0, 1.0, -1.0, 0.3).fatness_constant()
     """)
 
 

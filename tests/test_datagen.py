@@ -1,7 +1,6 @@
 import functools
 import math
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +12,12 @@ from ldpmin.datagen import (
     Cohort,
     IidCounts,
     TruncNormal,
-    fatness_constant,
     fixed_cohort,
     iid_cohort,
 )
 from ldpmin.harness import ModelTemplate
 
-from conftest import iid_values, make_rng
+from conftest import fixed_values, iid_values, make_rng
 
 PARAMETRIC_MODELS = [
     BetaScaled(0.5, 1.0, -1.0, 2.0),
@@ -205,7 +203,7 @@ class TestFlatBetaOracle:
     @pytest.mark.parametrize("model", FLAT_MODELS, ids=repr)
     def test_fatness_constant_is_scipys_beta(self, model):
         oracle = 1.0 / max(1.0, float(special.beta(1.0, 1.0))) / model.delta
-        assert fatness_constant(model).hex() == oracle.hex()
+        assert model.fatness_constant().hex() == oracle.hex()
 
 
 class TestFarTailTruncNormal:
@@ -219,7 +217,7 @@ class TestFarTailTruncNormal:
 
     def test_fixed_cohort_not_piled_on_the_right_edge(self):
         model = TruncNormal(0.0, 0.05, 0.5, 1.0)
-        values = fixed_cohort(model, 5).values
+        values = fixed_values(model, 5)
         assert values[0] == 0.5 and values[-1] == 1.0
         # the mass sits within a few hundredths of x_min
         assert np.all(values[1:-1] < 0.52)
@@ -245,28 +243,35 @@ class TestFarTailTruncNormal:
 
 class TestFixedCohort:
     def test_uniform_three_points(self):
-        got = fixed_cohort(BetaScaled(1.0, 1.0, -1.0, 2.0), 3).values
+        got = fixed_values(BetaScaled(1.0, 1.0, -1.0, 2.0), 3)
         assert got[0] == -1.0 and got[2] == 1.0
         assert abs(got[1]) < 1e-9
 
     def test_first_value_is_support_minimum(self):
         for model in PARAMETRIC_MODELS:
-            assert fixed_cohort(model, 5).values[0] == model.x_min
+            assert fixed_values(model, 5)[0] == model.x_min
 
     def test_two_points_are_the_support(self):
-        got = fixed_cohort(BetaScaled(2.0, 1.0, -1.0, 2.0), 2).values
+        got = fixed_values(BetaScaled(2.0, 1.0, -1.0, 2.0), 2)
         assert got.tolist() == [-1.0, 1.0]
 
     def test_levels_recovered_through_cdf(self):
         # inversion tolerance on the probability axis
         for model in PARAMETRIC_MODELS:
             n = 33
-            values = fixed_cohort(model, n).values
+            values = fixed_values(model, n)
             levels = np.arange(n) / (n - 1)
             assert np.allclose(cdf_at(model, values), levels, atol=1e-10)
 
+    def test_is_a_count_source_without_values(self):
+        # read through its counts, n, bounds and values_at, never as a Cohort
+        counts = fixed_cohort(BetaScaled(2.0, 1.0, -1.0, 0.3), 5)
+        assert not isinstance(counts, Cohort)
+        assert not hasattr(counts, "values")
+        assert (counts.n, counts.bounds) == (5, (-1.0, -0.7))
+
     def test_sorted_and_rejects_tiny_n(self):
-        values = fixed_cohort(BetaScaled(2.0, 2.0, -0.2, 0.6), 17).values
+        values = fixed_values(BetaScaled(2.0, 2.0, -0.2, 0.6), 17)
         assert np.all(np.diff(values) >= 0)
         with pytest.raises(ValueError):
             fixed_cohort(BetaScaled(1.0, 1.0, -1.0, 2.0), 1)
@@ -275,8 +280,8 @@ class TestFixedCohort:
     @pytest.mark.parametrize("n", [2, 3, 1024, 65536])
     @pytest.mark.parametrize("model", PARAMETRIC_MODELS + FAR_TAIL_MODELS)
     def test_values_are_nondecreasing_so_counts_read_them_unsorted(self, model, n):
-        cohort = fixed_cohort(model, n)
-        assert np.all(cohort.values[:-1] <= cohort.values[1:])
+        values = fixed_values(model, n)
+        assert np.all(values[:-1] <= values[1:])
 
 
 # the harness's templates at their stock placements: uniform, a thin and a fat
@@ -293,7 +298,7 @@ COUNT_TEMPLATES = [
 @functools.lru_cache(maxsize=None)
 def stock_cohort(template, x_min, n):
     """The fixed cohort's values, counted by binary search: the walk's reference."""
-    return Cohort(fixed_cohort(template.place(x_min), n).values, "fixed")
+    return Cohort(fixed_values(template.place(x_min), n), "fixed")
 
 
 def tau_specs(n):
@@ -361,7 +366,7 @@ class TestFixedCohortCounts:
         # floats, so a tau there is hundreds to thousands of users away from
         # F(tau)'s guess (10712 at the minimum, 228 one float above it)
         n = 65536
-        cohort = Cohort(fixed_cohort(BetaScaled(0.05, 1.0, -1.0, 0.3), n).values, "fixed")
+        cohort = Cohort(fixed_values(BetaScaled(0.05, 1.0, -1.0, 0.3), n), "fixed")
         for tau in (-1.0, float(np.nextafter(-1.0, 0.0))):
             model = CountingModel(BetaScaled(0.05, 1.0, -1.0, 0.3))
             assert fixed_cohort(model, n).count_at_or_below(tau) == cohort.count_at_or_below(tau)
@@ -436,13 +441,13 @@ class TestIidCohort:
 
 class TestFatness:
     def test_uniform_constant(self):
-        c = fatness_constant(BetaScaled(1.0, 1.0, -1.0, 2.0))
+        c = BetaScaled(1.0, 1.0, -1.0, 2.0).fatness_constant()
         assert c == 0.5 and type(c) is float
 
     def test_inequality_on_dense_grid(self):
         for model in PARAMETRIC_MODELS + FAR_TAIL_MODELS:
             alpha = model.fat_alpha
-            c = fatness_constant(model)
+            c = model.fatness_constant()
             assert math.isfinite(c) and c >= 0.0, repr(model)
             assert type(c) is float, repr(model)
             xs = np.linspace(model.x_min, model.x_max, 1001)[1:-1]
@@ -451,22 +456,11 @@ class TestFatness:
 
     def test_symmetric_truncnorm_boundary_densities_agree(self):
         model = TruncNormal(0.0, 0.8, -0.6, 0.6)
-        c = fatness_constant(model)
+        c = model.fatness_constant()
         a = (model.x_min - model.mu) / model.sigma
         z = special.ndtr(-a) - special.ndtr(a)
         density = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi) / (model.sigma * z)
         assert c == pytest.approx(density, rel=1e-12)
-
-    def test_empirical_rejected(self):
-        # a step CDF over observed values has the model shape but no closed form
-        values = np.array([0.0, 0.5])
-        step = SimpleNamespace(
-            cdf=lambda x: np.searchsorted(values, x, side="right") / values.size,
-            quantile=lambda q: values[max(math.ceil(q * values.size), 1) - 1],
-            x_min=0.0, x_max=0.5, fat_alpha=None,
-        )
-        with pytest.raises(TypeError):
-            fatness_constant(step)
 
 
 class TestCohort:
@@ -505,7 +499,7 @@ class TestCohort:
 
     @pytest.mark.parametrize("make", [
         lambda: Cohort(np.array([0.25, -0.5, 1.0, 0.25, -1.0]), "fixed"),  # as --data gives
-        lambda: fixed_cohort(BetaScaled(2.0, 1.0, -0.6, 1.2), 257).negated(),
+        lambda: Cohort(fixed_values(BetaScaled(2.0, 1.0, -0.6, 1.2), 257), "fixed").negated(),
         lambda: iid_values(BetaScaled(2.0, 1.0, -0.6, 1.2), 257, make_rng(9)),
     ], ids=["data", "negated", "iid"])
     def test_unsorted_cohort_counts_by_a_sorted_copy(self, make):

@@ -164,6 +164,14 @@ class TestLoopbackEquivalence:
             for t, line in enumerate(lines[1:], start=1):
                 assert line in (f"RESP {t} -1", f"RESP {t} 1")
 
+    def test_start_carries_only_the_depth_and_the_round_budget(self):
+        # all a client reads from START: no session id or other field
+        config = ProtocolConfig(epsilon=2.0, depth=1, gamma=0.1, n=1)
+        reason, (received,) = serve_raw(config, [b"HELLO\nRESP 1 1\n"])
+        assert reason is None
+        start = received.decode().splitlines()[0]
+        assert start.split() == ["START", "1", repr(config.round_budget.epsilon_round)]
+
     def test_same_seed_replays_identical_responses(self):
         # each barrier is read in client order, so the whole log replays
         config = ProtocolConfig(epsilon=1.0, depth=6, gamma=0.3, n=2)
@@ -233,28 +241,29 @@ class TestFailurePaths:
         assert out["reason"] == "malformed-message"
 
     @pytest.mark.parametrize("lines, resps", [
-        ([b"START s1 3"], 0),
-        ([b"START s1 3 0.5", b"QUERY 1"], 0),
-        ([b"START s1 3 0.5", b"RESULT"], 0),
-        ([b"START s1 1 50.0", b"QUERY 1 0.5", b"QUERY 2 0.5", b"QUERY 2 0.5", b"QUERY 7 0.5"], 1),
-        ([b"START s1 3 0.5", b"QUERY 1 0.5", b"QUERY 1 0.5"], 1),
-        ([b"START s1 3 0.5", b"QUERY 2 0.5"], 0),
-        ([b"QUERY 1 0.5", b"START s1 3 0.5"], 0),
-        ([b"START s1 3 0.5", b"QUERY 1 0.5", b"START s2 3 0.5", b"QUERY 2 0.5"], 1),
-        ([b"START s1 1 0.5", b"QUERY 1 0.5", b"RESULT nan"], 1),
-        ([b"START s1 1 0.5", b"QUERY 1 0.5", b"RESULT 7.5"], 1),
-        ([b"START s1 1 0.5", b"QUERY 1 0.5", b"RESULT -inf"], 1),
-        ([b"START s1 1 0.5", b"\xff\xfe QUERY 1 0.5"], 0),
-        ([b"START s1 1 1.0", b"Q" * 4096], 0),
-        ([b"START s1 1 0.5", b"NOOP"], 0),
-        ([b"START s1 1 0.5", b""], 0),
-        ([b"START s1 -1 0.5", b"QUERY 1 0.5"], 0),
-        ([b"START s1 0 0.5", b"QUERY 1 0.5"], 0),
-        ([f"START s1 {MAX_DEPTH + 1} 0.5".encode(), b"QUERY 1 0.5"], 0),
+        ([b"START 3"], 0),
+        ([b"START 3 0.5", b"QUERY 1"], 0),
+        ([b"START 3 0.5", b"RESULT"], 0),
+        ([b"START 1 50.0", b"QUERY 1 0.5", b"QUERY 2 0.5", b"QUERY 2 0.5", b"QUERY 7 0.5"], 1),
+        ([b"START 3 0.5", b"QUERY 1 0.5", b"QUERY 1 0.5"], 1),
+        ([b"START 3 0.5", b"QUERY 2 0.5"], 0),
+        ([b"QUERY 1 0.5", b"START 3 0.5"], 0),
+        ([b"START 3 0.5", b"QUERY 1 0.5", b"START 3 0.5", b"QUERY 2 0.5"], 1),
+        ([b"START 1 0.5", b"QUERY 1 0.5", b"RESULT nan"], 1),
+        ([b"START 1 0.5", b"QUERY 1 0.5", b"RESULT 7.5"], 1),
+        ([b"START 1 0.5", b"QUERY 1 0.5", b"RESULT -inf"], 1),
+        ([b"START 1 0.5", b"\xff\xfe QUERY 1 0.5"], 0),
+        ([b"START 1 1.0", b"Q" * 4096], 0),
+        ([b"START 1 0.5", b"NOOP"], 0),
+        ([b"START 1 0.5", b""], 0),
+        ([b"START -1 0.5", b"QUERY 1 0.5"], 0),
+        ([b"START 0 0.5", b"QUERY 1 0.5"], 0),
+        ([f"START {MAX_DEPTH + 1} 0.5".encode(), b"QUERY 1 0.5"], 0),
+        ([b"START s1 1 0.5", b"QUERY 1 0.5"], 0),
     ], ids=["short-start", "short-query", "bare-result", "past-depth", "replay", "skip",
             "query-before-start", "second-start", "nan-result", "result-outside",
             "infinite-result", "undecodable", "overlong", "unknown-token", "empty-line",
-            "negative-depth", "zero-depth", "past-max-depth"])
+            "negative-depth", "zero-depth", "past-max-depth", "long-start"])
     def test_malformed_server_line_is_protocol_error(self, lines, resps):
         # the client answers only rounds 1..depth of the one START it accepted
         outcome, received = fake_session(lines)
@@ -270,7 +279,7 @@ class TestFailurePaths:
             def trickle():
                 conn, _ = listener.accept()
                 with conn, contextlib.suppress(OSError):  # the client may be gone
-                    conn.sendall(b"START s1 1 1.0\n")
+                    conn.sendall(b"START 1 1.0\n")
                     for byte in b"QUERY 1 0.5\n":
                         if stop.wait(0.3):
                             return
@@ -293,11 +302,11 @@ class TestFailurePaths:
     @given(st.lists(st.one_of(
         st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"")),
         st.sampled_from([b"QUERY 1 0.5", b"QUERY 2 -0.25", b"QUERY 3 0.125",
-                         b"RESULT 0.125", b"RESULT nan", b"START s2 2 1.0",
+                         b"RESULT 0.125", b"RESULT nan", b"START 2 1.0",
                          b"ABORT timeout", b""]),
     ), max_size=6))
     def test_client_fuzz_ends_in_estimate_or_clean_abort(self, lines):
-        outcome, _ = fake_session([b"START s1 2 1.0", *lines])
+        outcome, _ = fake_session([b"START 2 1.0", *lines])
         if isinstance(outcome, float):
             assert -1.0 <= outcome <= 1.0
         else:

@@ -35,6 +35,7 @@ from conftest import (
     CountingRng,
     always_two_binomials,
     eager_walk,
+    fixed_values,
     iid_values,
     make_rng,
     per_user_round_sum,
@@ -405,17 +406,18 @@ class TestPrivateMin:
         model = BetaScaled(2.0, 1.0, -0.6, 1.2)
         n, depth = 257, 9
         if setting == "fixed":
-            cohort = fixed_cohort(model, n)
+            cohort, values = fixed_cohort(model, n), fixed_values(model, n)
         else:
             cohort = iid_values(model, n, make_rng(30))
-            assert np.any(np.diff(cohort.values) < 0)
+            values = cohort.values
+            assert np.any(np.diff(values) < 0)
         config = ProtocolConfig(epsilon, depth, 0.05, n)
         rng = make_rng(31)
         t = run_private_min(cohort, config, rng)
         p_keep = rr_keep_probability(config.round_budget)
         replay = make_rng(31)
         for r in t.rounds:
-            k = int(np.count_nonzero(cohort.values <= r.tau))
+            k = int(np.count_nonzero(values <= r.tau))
             plus = replay.binomial(k, p_keep) + replay.binomial(n - k, 1.0 - p_keep)
             assert r.sum_z == 2 * plus - n
         assert rng.bit_generator.state == replay.bit_generator.state
@@ -495,6 +497,13 @@ class TestPrivateMin:
         counts = IidCounts(BetaScaled(1.0, 1.0, -1.0, 2.0), 3, make_rng(0))
         config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.1, n=3)
         with pytest.raises(ValueError, match="cohort"):
+            run_private_min(counts, config, user_rngs=[make_rng(i) for i in range(3)])
+
+    def test_per_user_streams_refuse_a_fixed_cohort(self):
+        # a fixed cohort is a count source: it holds no values to answer from
+        counts = fixed_cohort(BetaScaled(1.0, 1.0, -1.0, 2.0), 3)
+        config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.1, n=3)
+        with pytest.raises(ValueError, match="user_rngs need a cohort's values"):
             run_private_min(counts, config, user_rngs=[make_rng(i) for i in range(3)])
 
     def test_degenerate_gamma_forces_all_right(self):
@@ -696,7 +705,7 @@ class TestBaseline:
         from conftest import CountingModel
 
         model, n = BetaScaled(2.0, 1.0, -1.0, 0.3), 4097
-        full = Cohort(fixed_cohort(model, n).values, "fixed")
+        full = Cohort(fixed_values(model, n), "fixed")
         budget = PrivacyBudget(epsilon)
         for seed in range(6):
             counting = CountingModel(model)
