@@ -35,6 +35,8 @@ BOUND_COLUMNS = ("n", "epsilon", "x_min", "quantile_term", "noise_term",
 # simulate's model flags, by the ModelTemplate field each sets
 MODEL_FLAGS = {"kind": "--model", "alpha": "--model-alpha", "beta": "--model-beta",
                "delta": "--delta", "mu": "--mu", "sigma": "--sigma"}
+# the flags --data refuses: the model flags and where and how a model's cohort lies
+COHORT_FLAGS = {**MODEL_FLAGS, "x_min": "--x-min", "setting": "--setting"}
 
 
 class UsageError(ValueError):
@@ -99,10 +101,10 @@ def _parse_epsilon(text: str) -> float:
 
 def _simulate_cohort(args, rng):
     """The count source a simulated search reads: a cohort, or a model's fixed or iid counts."""
-    model_args = {k: v for k, v in vars(args).items() if k in MODEL_FLAGS}  # the flags given
+    given = {k: v for k, v in vars(args).items() if k in COHORT_FLAGS}
     if args.data is not None:
-        if model_args:
-            flags = ", ".join(MODEL_FLAGS[k] for k in model_args)
+        if given:
+            flags = ", ".join(COHORT_FLAGS[k] for k in given)
             raise UsageError(f"--data takes no model flag ({flags})")
         try:
             values = [float(s) for s in args.data.split(",") if s.strip()]
@@ -112,11 +114,12 @@ def _simulate_cohort(args, rng):
             raise UsageError("--data is empty")
         if args.n is not None and args.n != len(values):
             raise UsageError(f"--n {args.n} does not match {len(values)} --data values")
-        return Cohort(np.array(values), args.setting)
+        return Cohort(np.array(values), "fixed")
     if args.n is None:
         raise UsageError("either --n (with --model) or --data is required")
-    model = harness.ModelTemplate(**model_args).place(args.x_min)
-    if args.setting == "fixed":
+    model_args = {k: v for k, v in given.items() if k in MODEL_FLAGS}
+    model = harness.ModelTemplate(**model_args).place(given.get("x_min", -1.0))
+    if given.get("setting", "fixed") == "fixed":
         return fixed_cohort(model, args.n)
     return IidCounts(model, args.n, rng)
 
@@ -282,15 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--param-mode", default=None,
                      help="schedule that sets depth and gamma: "
                           "lower_alpha | known_alpha:<a0> | unknown_alpha")
-    # model flags left out take ModelTemplate's defaults
+    # model flags left out take ModelTemplate's defaults, and --x-min and
+    # --setting those of _simulate_cohort; none is set unless given
     sim.add_argument("--model", dest="kind", default=argparse.SUPPRESS,
                      help=" | ".join(harness.MODEL_KINDS))
     for field, flag in list(MODEL_FLAGS.items())[1:]:  # the real-valued parameters
         sim.add_argument(flag, dest=field, type=float, default=argparse.SUPPRESS)
-    sim.add_argument("--x-min", type=float, default=-1.0)
-    sim.add_argument("--setting", default="fixed", choices=["fixed", "iid"])
+    sim.add_argument("--x-min", type=float, default=argparse.SUPPRESS,
+                     help="the model's support minimum (default -1.0)")
+    sim.add_argument("--setting", default=argparse.SUPPRESS, choices=["fixed", "iid"],
+                     help="the model's cohort: fixed quantiles or iid draws (default fixed)")
     sim.add_argument("--data", default=None,
-                     help="comma-separated explicit user values (no model flag)")
+                     help="comma-separated explicit user values "
+                          "(no model flag, --x-min or --setting)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default=None, help="write the transcript here instead of stdout")
     sim.set_defaults(func=cmd_simulate)

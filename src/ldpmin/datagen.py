@@ -25,13 +25,14 @@ Quantiles of both models are closed forms (the inverse incomplete
 beta function; the normal quantile on the side of the mean where the
 support's tail keeps its relative precision), clamped to the support; sampling
 is inverse CDF from one uniform per value so that seeded runs are replayable.
-scipy, which gives those closed forms, is imported on a model's first ``cdf``,
-``quantile`` or ``fatness_constant`` (a truncated normal's, when it is built,
-as it evaluates its edges), so a process that evaluates no model (the aggregator,
-a client, ``simulate --data``, ``fit``) never loads it.
-The flat beta (alpha = beta = 1, the uniform model) needs no scipy at all: its
-CDF and inverse are the identity on [0, 1] and B(1, 1) = 1, which is what scipy
-returns for them bit for bit, so a uniform run never loads it either.
+The paper's alpha family, a beta with beta = 1 (the uniform model is its
+alpha = 1 member), needs no scipy: its CDF is u**alpha, its inverse
+q**(1/alpha) and B(alpha, 1) = 1/alpha.  Only a beta with beta != 1 or a
+truncated normal loads scipy, on its first ``cdf``, ``quantile`` or
+``fatness_constant`` (a truncated normal's, when it is built, as it evaluates
+its edges), so a process that evaluates no such model (the aggregator, a
+client, ``simulate --data``, ``fit``, any uniform or beta(alpha, 1) run) never
+loads it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import numpy as np
 
 @functools.cache
 def _special():
-    """``scipy.special``, imported on a data model's first evaluation, not with the module."""
+    """``scipy.special``, imported on the first evaluation of a beta with beta != 1
+    or of a truncated normal, not with the module."""
     try:
         from scipy import special
     except ImportError as exc:
@@ -84,8 +86,9 @@ class BetaScaled:
 
     The left tail satisfies F(x) >= C (x - x_min)^alpha all the way up to
     the right support edge, so ``alpha`` is literally the model's fatness
-    exponent.  alpha = beta = 1 is the uniform distribution, evaluated in
-    closed form without scipy.
+    exponent.  beta = 1, the paper's alpha family with F(u) = u**alpha (alpha =
+    1 is the uniform distribution), is evaluated in closed form without scipy;
+    only beta != 1 loads it.
     """
 
     alpha: float
@@ -102,8 +105,8 @@ class BetaScaled:
             raise ValueError(
                 f"support [{self.x_min}, {self.x_min + self.delta}] leaves [-1, 1]"
             )
-        # alpha = beta = 1: the incomplete beta function and its inverse are the identity
-        object.__setattr__(self, "_flat", self.alpha == 1 and self.beta == 1)
+        # beta = 1: the incomplete beta function is u**alpha
+        object.__setattr__(self, "_power", self.beta == 1)
 
     @property
     def x_max(self) -> float:
@@ -115,11 +118,15 @@ class BetaScaled:
 
     def cdf(self, x: float) -> float:
         u = _clip((_checked(x) - self.x_min) / self.delta, 0.0, 1.0)
-        # + 0.0 turns a -0.0 into the +0.0 betainc gives
-        return u + 0.0 if self._flat else float(_special().betainc(self.alpha, self.beta, u))
+        if self._power:  # + 0.0 turns a -0.0 into the +0.0 betainc gives
+            return u**self.alpha + 0.0
+        return float(_special().betainc(self.alpha, self.beta, u))
 
     def _inverse(self, qs):
-        u = qs if self._flat else _special().betaincinv(self.alpha, self.beta, qs)
+        if self._power:  # one numpy call for a float and an array alike: the same bits
+            u = qs if self.alpha == 1 else np.power(qs, 1.0 / self.alpha)
+        else:
+            u = _special().betaincinv(self.alpha, self.beta, qs)
         return self.x_min + self.delta * u
 
     def quantile(self, q):
@@ -127,9 +134,10 @@ class BetaScaled:
 
     def fatness_constant(self) -> float:
         """The sharp C: min{1, 1/(alpha B(alpha, beta))} / delta^alpha."""
+        if self._power:  # B(alpha, 1) = 1/alpha
+            return 1.0 / self.delta**self.alpha
         # min{1, 1/(alpha B)} without dividing by a B that underflows to 0
-        b = 1.0 if self._flat else float(_special().beta(self.alpha, self.beta))
-        c0 = 1.0 / max(1.0, self.alpha * b)
+        c0 = 1.0 / max(1.0, self.alpha * float(_special().beta(self.alpha, self.beta)))
         return c0 / self.delta**self.alpha
 
 

@@ -170,6 +170,15 @@ def _hashmix(value, const, next_const):  # on uint32 arrays, which wrap mod 2**3
 
 
 @functools.lru_cache(maxsize=8)
+def _rep_consts(first: int) -> np.ndarray:
+    """The 5 hash constants from the ``first``-th on, those of the rep word's four mixes."""
+    consts = np.array([_INIT_A * pow(_MULT_A, k, 2**32) % 2**32 for k in range(first, first + 5)],
+                      dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts
+
+
+@functools.lru_cache(maxsize=8)
 def _block_states(block: int, *cell: int) -> np.ndarray:
     """PCG64's seed state for each rep of one block of a cell, a row of 4 uint64."""
     if not 0 <= block < 2**32 // _REP_BLOCK:
@@ -177,9 +186,7 @@ def _block_states(block: int, *cell: int) -> np.ndarray:
     pool = np.random.SeedSequence(cell).pool
     # numpy's pool took 4 hash constants per word of the cell (5 words or more);
     # the rep word's four mixes take the next ones
-    first = 4 * sum((max(v.bit_length(), 1) + 31) // 32 for v in cell)
-    consts = np.array([_INIT_A * pow(_MULT_A, k, 2**32) % 2**32 for k in range(first, first + 5)],
-                      dtype=np.uint32)
+    consts = _rep_consts(4 * sum((max(v.bit_length(), 1) + 31) // 32 for v in cell))
     reps = np.arange(block * _REP_BLOCK, (block + 1) * _REP_BLOCK, dtype=np.uint32)
     pool = _MIX_L * pool - _MIX_R * _hashmix(reps[:, None], consts[:-1], consts[1:])
     pool ^= pool >> 16

@@ -57,7 +57,10 @@ def params_known_alpha(n: int, alpha0: float, epsilon: float) -> ProtocolConfig:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 0 < alpha0 < math.inf:
         raise ValueError(f"alpha0 must be finite and positive, got {alpha0}")
-    depth = max(1, math.ceil(math.log2(n) / (2.0 * alpha0)))
+    steps = math.log2(n) / (2.0 * alpha0)
+    if steps == math.inf:  # an alpha0 near 0, whose depth math.ceil cannot take
+        raise ValueError(f"alpha0 = {alpha0!r} is too small: log2(N) / (2 alpha0) overflows")
+    depth = max(1, math.ceil(steps))
     h = 0.5 * math.log(n) / alpha0  # ln(N) / (2 alpha0) to the bit, where 2 alpha0 overflows too
     return ProtocolConfig(epsilon, depth, gamma_threshold(epsilon, depth, h, n), n)
 

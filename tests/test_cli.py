@@ -97,6 +97,7 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value", [
         ("--model", "uniform"), ("--model", "gauss"), ("--model-alpha", "2"),
         ("--model-beta", "2"), ("--delta", "1"), ("--mu", "3"), ("--sigma", "0.5"),
+        ("--x-min", "0.4"), ("--x-min", "-1"), ("--setting", "iid"), ("--setting", "fixed"),
     ])
     def test_data_takes_no_model_flag(self, capsys, flag, value):
         # --data gives the users' values, so a model flag would be ignored

@@ -1,4 +1,4 @@
-"""scipy loads only when a data model other than the flat beta is evaluated.
+"""scipy loads only when a beta with beta != 1 or a truncated normal is evaluated.
 
 Each check runs in a new interpreter on the package under src/, since this
 test process has scipy loaded already.  A script prints ``"scipy" in
@@ -77,10 +77,10 @@ def test_loopback_session_loads_no_scipy():
 
 
 @pytest.mark.parametrize("model, call, oracle", [
-    ("BetaScaled(2.0, 1.0, -1.0, 0.3)", "cdf(-0.9)",
-     "special.betainc(2.0, 1.0, (-0.9 - -1.0) / 0.3)"),
-    ("BetaScaled(2.0, 1.0, -1.0, 0.3)", "quantile(0.25)",
-     "-1.0 + 0.3 * special.betaincinv(2.0, 1.0, 0.25)"),
+    ("BetaScaled(2.0, 2.0, -1.0, 0.3)", "cdf(-0.9)",
+     "special.betainc(2.0, 2.0, (-0.9 - -1.0) / 0.3)"),
+    ("BetaScaled(2.0, 2.0, -1.0, 0.3)", "quantile(0.25)",
+     "-1.0 + 0.3 * special.betaincinv(2.0, 2.0, 0.25)"),
     ("TruncNormal(0.0, 1.0, -1.0, 1.0)", "cdf(0.0)",
      "(special.ndtr(0.0) - special.ndtr(-1.0)) / (special.ndtr(1.0) - special.ndtr(-1.0))"),
 ], ids=["beta-cdf", "beta-quantile", "truncnorm-cdf"])
@@ -101,19 +101,25 @@ def test_first_evaluation_loads_scipy(model, call, oracle):
 def test_beta_model_is_built_without_scipy():
     assert not scipy_loaded("""
         from ldpmin.datagen import BetaScaled
-        BetaScaled(2.0, 1.0, -1.0, 0.3)
+        BetaScaled(2.0, 2.0, -1.0, 0.3)
     """)
 
 
 def test_fatness_constant_loads_scipy():
     assert scipy_loaded("""
         from ldpmin.datagen import BetaScaled
-        BetaScaled(2.0, 1.0, -1.0, 0.3).fatness_constant()
+        BetaScaled(2.0, 2.0, -1.0, 0.3).fatness_constant()
     """)
 
 
-UNIFORM_CONFIG = """\
-model = uniform
+# models evaluated in closed form: simulate's model flags and a config's model keys
+CLOSED_FORM_MODELS = {
+    "uniform": (["--model", "uniform"], "model = uniform"),
+    "beta21": (["--model", "beta", "--model-alpha", "2", "--model-beta", "1"],
+               "model = beta\nalpha = 2\nbeta = 1"),
+}
+CLOSED_FORM_CONFIG = """\
+{model}
 delta = 0.3
 setting = {setting}
 n_grid = 64, 256
@@ -125,29 +131,28 @@ mechanisms = {mechanisms}
 """
 
 
-def uniform_run(kind, setting, out, tmp_path):
-    """argv of a uniform ``experiment`` or ``simulate`` run writing under ``out``."""
+def closed_form_run(model, kind, setting, out, tmp_path):
+    """argv of a closed-form model's ``experiment`` or ``simulate`` run writing under ``out``."""
+    flags, keys = CLOSED_FORM_MODELS[model]
     if kind == "simulate":
-        return ["simulate", "--n", "64", "--model", "uniform", "--setting", setting,
+        return ["simulate", "--n", "64", *flags, "--setting", setting,
                 "--epsilon", "1", "--param-mode", "lower_alpha", "--seed", "5",
                 "--out", str(out / "transcript.jsonl")]
     mechanisms = "binary_search, nonprivate" if setting == "fixed" else "binary_search, laplace"
-    config = tmp_path / f"uniform_{setting}.cfg"
-    config.write_text(UNIFORM_CONFIG.format(setting=setting, mechanisms=mechanisms),
-                      encoding="utf-8")
+    config = tmp_path / f"{model}_{setting}.cfg"
+    config.write_text(CLOSED_FORM_CONFIG.format(model=keys, setting=setting,
+                                                mechanisms=mechanisms), encoding="utf-8")
     return ["experiment", str(config), "--out-dir", str(out)]
 
 
-@pytest.mark.parametrize("setting", ["fixed", "iid"])
-@pytest.mark.parametrize("kind", ["experiment", "simulate"])
-def test_uniform_run_needs_no_scipy(kind, setting, tmp_path):
-    # the flat beta evaluates in closed form: nothing of scipy loads, and a run
-    # without it writes what the run with it writes, byte for byte
+def run_with_and_without_scipy(model, kind, setting, tmp_path):
+    # a closed-form model: nothing of scipy loads, and a run without it writes
+    # what the run with it writes, byte for byte
     outputs = {}
     for block in (False, True):
         out = tmp_path / ("blocked" if block else "free")
         out.mkdir()
-        argv = uniform_run(kind, setting, out, tmp_path)
+        argv = closed_form_run(model, kind, setting, out, tmp_path)
         done = fresh(f"""
             from ldpmin import cli
             code = cli.main({argv!r})
@@ -160,7 +165,21 @@ def test_uniform_run_needs_no_scipy(kind, setting, tmp_path):
     assert outputs[False] and outputs[True] == outputs[False]
 
 
-@pytest.mark.parametrize("model_args", [["--model", "beta", "--model-alpha", "2"],
+@pytest.mark.parametrize("setting", ["fixed", "iid"])
+@pytest.mark.parametrize("kind", ["experiment", "simulate"])
+def test_uniform_run_needs_no_scipy(kind, setting, tmp_path):
+    run_with_and_without_scipy("uniform", kind, setting, tmp_path)
+
+
+@pytest.mark.parametrize("setting", ["fixed", "iid"])
+@pytest.mark.parametrize("kind", ["experiment", "simulate"])
+def test_alpha_family_run_needs_no_scipy(kind, setting, tmp_path):
+    # beta(alpha, 1), the paper's alpha family: F(u) = u**alpha in closed form
+    run_with_and_without_scipy("beta21", kind, setting, tmp_path)
+
+
+@pytest.mark.parametrize("model_args", [["--model", "beta", "--model-alpha", "2",
+                                         "--model-beta", "2"],
                                         ["--model", "truncnorm", "--delta", "0.5"]],
                          ids=["beta", "truncnorm"])
 def test_missing_scipy_ends_a_model_run_in_exit_3(model_args):

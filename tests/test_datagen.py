@@ -206,6 +206,47 @@ class TestFlatBetaOracle:
         assert model.fatness_constant().hex() == oracle.hex()
 
 
+def ulps_from(value: float, exact) -> float:
+    """How many ulps of ``exact`` (an mpmath number) lie between it and ``value``."""
+    return float(abs(value - exact)) / math.ulp(float(exact))
+
+
+def power_levels():
+    # uniform levels, levels spread over float64's exponents, and the edges
+    rng = make_rng(2701)
+    return [5e-324, 1e-300, 2.0**-52, 0.5, 1.0 - 2.0**-53,
+            *rng.random(2000), *10.0 ** -rng.uniform(0.0, 300.0, 1000)]
+
+
+class TestAlphaFamilyOracle:
+    """beta(alpha, 1), F(u) = u**alpha, evaluates in closed form without scipy;
+    on the unit support, where x = u, each value lies within 1 ulp of the exact one."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0])
+    def test_cdf_within_an_ulp(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        model = BetaScaled(alpha, 1.0, 0.0, 1.0)
+        with mpmath.workdps(40):
+            worst = max(ulps_from(model.cdf(u), mpmath.mpf(u) ** alpha) for u in power_levels())
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0])
+    def test_quantile_within_an_ulp(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        model = BetaScaled(alpha, 1.0, 0.0, 1.0)
+        levels = power_levels()
+        with mpmath.workdps(40):
+            exact = [mpmath.mpf(q) ** (1 / mpmath.mpf(alpha)) for q in levels]
+            worst = max(ulps_from(model.quantile(q), x) for q, x in zip(levels, exact))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0, 100.0])
+    def test_fatness_constant_is_one_over_delta_to_the_alpha(self, alpha):
+        # B(alpha, 1) = 1/alpha, so min{1, 1/(alpha B)} = 1 (scipy's B(100, 1)
+        # made it 1 - 2**-52)
+        assert BetaScaled(alpha, 1.0, -1.0, 0.3).fatness_constant() == 1.0 / 0.3**alpha
+
+
 class TestFarTailTruncNormal:
     def test_cdf_is_finite_and_matches_scipy(self):
         for model in FAR_TAIL_MODELS:

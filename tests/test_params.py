@@ -100,6 +100,12 @@ class TestKnownAlphaSchedule:
         with pytest.raises(ValueError, match="alpha0 must be finite and positive"):
             params_known_alpha(1024, alpha0, 1.0)
 
+    @pytest.mark.parametrize("alpha0", [5e-324, 1e-310])
+    def test_alpha0_whose_depth_overflows_rejected(self, alpha0):
+        # log2(N) / (2 alpha0) is inf, which math.ceil refuses with an OverflowError
+        with pytest.raises(ValueError, match="too small"):
+            choose_params(f"known_alpha:{alpha0!r}", 1024, 1.0)
+
     def test_largest_alpha0_keeps_a_positive_h(self):
         # 2 alpha0 overflows past 2^1023; h = ln(N) / (2 alpha0) must not become 0
         p = params_known_alpha(1024, 1.7e308, 1.0)
