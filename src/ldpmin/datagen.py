@@ -71,13 +71,16 @@ def _clamped_quantile(model, q):
             return model.x_max
         return _clip(float(model._inverse(q)), model.x_min, model.x_max)
     qs = np.atleast_1d(np.asarray(q, dtype=float))
-    if not np.all((qs >= 0.0) & (qs <= 1.0)):
+    # initial: a level in [0, 1] that lets an empty array pass; a NaN level makes both NaN
+    least, most = qs.min(initial=0.5), qs.max(initial=0.5)
+    if not (least >= 0.0 and most <= 1.0):
         raise ValueError("quantile levels must lie in [0, 1]")
-    x = np.clip(model._inverse(qs), model.x_min, model.x_max)
+    x = model._inverse(qs).clip(model.x_min, model.x_max)
     # the endpoint levels denote the support edges exactly, whatever the
     # rounding of the inverse
-    out = np.where(qs == 0.0, model.x_min, np.where(qs == 1.0, model.x_max, x))
-    return float(out[0]) if np.isscalar(q) else out
+    if least == 0.0 or most == 1.0:
+        x = np.where(qs == 0.0, model.x_min, np.where(qs == 1.0, model.x_max, x))
+    return float(x[0]) if np.isscalar(q) else x
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ are independent of iteration order and can run in parallel.  numpy mixes
 a cell's part of the key into its pool; ``rep_rng`` mixes in the rep word
 and hashes out the state, 64 reps at a time.  In the i.i.d. setting a
 search's stream gives each round's count (``IidCounts``), then its answers;
-a baseline's gives the users' uniforms, then the noise, and a value is read
-only where the minimum can fall.  A fixed placement's one ``fixed_cohort``
-serves all its repetitions: a search counts from the model, each tau once, and
-a baseline reads only the users that can hold the minimum.
+a baseline's gives the users' uniforms, then one noise uniform per user, and
+noise is computed, and a value read, only for the users who can hold the
+minimum.  A fixed placement's one ``fixed_cohort`` serves all its
+repetitions: a search counts from the model, each tau once, and a baseline
+reads only the users that can hold the minimum.
 
 ``ModelTemplate`` and ``ExperimentSpec`` hold every default of a sweep;
 ``parse_experiment_config`` maps each config key to one of their fields.
@@ -169,26 +170,30 @@ def _hashmix(value, const, next_const):  # on uint32 arrays, which wrap mod 2**3
     return value ^ value >> 16
 
 
-@functools.lru_cache(maxsize=8)
-def _rep_consts(first: int) -> np.ndarray:
-    """The 5 hash constants from the ``first``-th on, those of the rep word's four mixes."""
+@functools.lru_cache(maxsize=16)
+def _rep_mix(block: int, first: int) -> np.ndarray:
+    """``_MIX_R`` times the rep word's four hashes, for each rep of one block: a row of 4 uint32.
+
+    The hashes use the 5 hash constants from the ``first``-th on; they do not
+    depend on the cell's words, only on how many there are.
+    """
+    if not 0 <= block < 2**32 // _REP_BLOCK:
+        raise ValueError("rep must lie in [0, 2**32): it is one uint32 word of the key")
     consts = np.array([_INIT_A * pow(_MULT_A, k, 2**32) % 2**32 for k in range(first, first + 5)],
                       dtype=np.uint32)
-    consts.flags.writeable = False
-    return consts
+    reps = np.arange(block * _REP_BLOCK, (block + 1) * _REP_BLOCK, dtype=np.uint32)
+    mix = _MIX_R * _hashmix(reps[:, None], consts[:-1], consts[1:])
+    mix.flags.writeable = False
+    return mix
 
 
 @functools.lru_cache(maxsize=8)
 def _block_states(block: int, *cell: int) -> np.ndarray:
     """PCG64's seed state for each rep of one block of a cell, a row of 4 uint64."""
-    if not 0 <= block < 2**32 // _REP_BLOCK:
-        raise ValueError("rep must lie in [0, 2**32): it is one uint32 word of the key")
-    pool = np.random.SeedSequence(cell).pool
     # numpy's pool took 4 hash constants per word of the cell (5 words or more);
     # the rep word's four mixes take the next ones
-    consts = _rep_consts(4 * sum((max(v.bit_length(), 1) + 31) // 32 for v in cell))
-    reps = np.arange(block * _REP_BLOCK, (block + 1) * _REP_BLOCK, dtype=np.uint32)
-    pool = _MIX_L * pool - _MIX_R * _hashmix(reps[:, None], consts[:-1], consts[1:])
+    mix = _rep_mix(block, 4 * sum((max(v.bit_length(), 1) + 31) // 32 for v in cell))
+    pool = _MIX_L * np.random.SeedSequence(cell).pool - mix
     pool ^= pool >> 16
     out = _hashmix(np.concatenate((pool, pool), axis=1), _HASH_B[:-1], _HASH_B[1:])
     states = out.astype("<u4").view("<u8").astype(np.uint64)

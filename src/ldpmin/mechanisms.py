@@ -8,8 +8,10 @@ mean back into an unbiased frequency estimate.
 
 All sampling goes through an explicitly passed random stream and each
 operation here consumes a fixed number of uniform variates (one per
-sanitized value), so a run is replayable from its seed.  A simulated round
-takes none of these: ``protocol`` draws its answer sum as two binomials.
+sanitized value), so a run is replayable from its seed;
+:func:`laplace_noise` takes its uniforms ready drawn, so the Laplace baseline
+can draw all N and transform only those it reads.  A simulated round takes
+none of these: ``protocol`` draws its answer sum as two binomials.
 ``epsilon = math.inf`` is accepted everywhere as the no-noise switch used
 by equivalence tests.
 """
@@ -133,10 +135,21 @@ def laplace_scale(budget: PrivacyBudget) -> float:
     return 2.0 / budget.epsilon
 
 
-def laplace_noise_many(n: int, budget: PrivacyBudget, rng) -> np.ndarray:
-    """n Laplace(0, 2/eps) draws by inverse CDF, one uniform each, in index order."""
-    u = rng.random(n)
+def laplace_noise(u: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
+    """Laplace(0, 2/eps) noise by inverse CDF, one draw per uniform in ``u``.
+
+    Nondecreasing in u: -scale * ln(w) above u = 1/2, scale * ln(w) below it,
+    w = 1 - 2|u - 1/2|.
+    """
     v = u - 0.5
     w = 1.0 - 2.0 * np.abs(v)
-    w[w <= 0.0] = 5e-324  # u == 0.0 happens with probability 2^-53; avoid log(0)
-    return np.where(v >= 0.0, -1.0, 1.0) * (laplace_scale(budget) * np.log(w))
+    np.maximum(w, 5e-324, out=w)  # u == 0.0 happens with probability 2^-53; avoid log(0)
+    np.log(w, out=w)
+    w *= laplace_scale(budget)
+    w *= np.where(v >= 0.0, -1.0, 1.0)  # not -w: keeps the sign of inf * ln(1)'s NaN
+    return w
+
+
+def laplace_noise_many(n: int, budget: PrivacyBudget, rng) -> np.ndarray:
+    """n Laplace(0, 2/eps) draws by inverse CDF, one uniform each, in index order."""
+    return laplace_noise(rng.random(n), budget)

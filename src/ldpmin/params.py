@@ -50,8 +50,11 @@ def params_known_alpha(n: int, alpha0: float, epsilon: float) -> ProtocolConfig:
     """Schedule for a known lower bound alpha0 on the fatness exponent.
 
     h = ln(N) / (2 alpha0), L = max(1, ceil(log2(N) / (2 alpha0))).
-    alpha0 = 1 is the stock "lower alpha" preset (valid whenever the data
-    tail is at least linear near its minimum).
+    alpha0 = 1 is the stock "lower alpha" preset, at its rate when the data
+    tail is at least linear near its minimum (alpha >= 1).  A fatter tail
+    (alpha < 1) keeps the error bound but gives up the rate: the depth
+    ceil(log2(N) / 2) holds the error near its grid, 2^-L ~ N^-1/2, where
+    the paper's rate N^-1/(2 alpha) falls faster.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

@@ -42,12 +42,13 @@ from .mechanisms import (
     PrivacyBudget,
     RoundBudget,
     debias,
-    laplace_noise_many,
+    laplace_noise,
+    laplace_scale,
     phi_correction,
     randomized_response,
     rr_keep_probability,
 )
-from .mechanisms import rr_respond_many  # noqa: F401 - bench/worker.py traces it here
+from .mechanisms import laplace_noise_many, rr_respond_many  # noqa: F401 - bench hooks
 
 BRANCH_LEFT = "left"
 BRANCH_RIGHT = "right"
@@ -241,13 +242,36 @@ def baseline_min(cohort, budget: PrivacyBudget, rng) -> float:
     -(2/eps) ln N, typically falls far outside the data domain.
 
     ``cohort`` gives ``n``, ``bounds`` and ``values_at``: a :class:`Cohort` or
-    a ``datagen.DeferredCohort``.  Only users who can hold the minimum have
-    their value read: with every value in ``bounds`` = [lo, hi] and rounding
-    monotone, user i reports at least fl(lo + L_i) and the minimum is at most
-    min_j fl(hi + L_j).
+    a ``datagen.DeferredCohort``.  All N noise uniforms are drawn, but noise
+    and values are computed only for the users who can hold the minimum:
+    with every value in ``bounds`` = [lo, hi] and rounding monotone, user i
+    reports at least fl(lo + L_i) and the minimum is at most fl(hi + L_j) at
+    j = argmin u, so only users whose uniform lies at or below
+    :func:`_candidate_cut` are read.  The result is the bits of the minimum
+    over all N reports.
     """
-    noise = laplace_noise_many(cohort.n, budget, rng)
+    u = rng.random(cohort.n)
     lo, hi = cohort.bounds
-    # "not above": a NaN bound (inf scale times log 1) keeps all, as the full min is NaN
-    keep = np.flatnonzero(~(lo + noise > (hi + noise).min()))
-    return float((cohort.values_at(keep) + noise[keep]).min())
+    cand = np.flatnonzero(u <= _candidate_cut(float(u.min()), hi - lo, laplace_scale(budget)))
+    return float((cohort.values_at(cand) + laplace_noise(u[cand], budget)).min())
+
+
+def _candidate_cut(u_min: float, width: float, scale: float) -> float:
+    """A level at or above every uniform whose noise is within ``width`` of u_min's.
+
+    In units of the scale, u_min's noise is g = +-ln(w), and the level whose
+    noise is t = g + width/scale is the Laplace CDF at t.  Padding t by a
+    relative 1e-9, far above the rounding of log, exp, the scaling and the
+    additions, keeps every user whose computed report can tie or undercut
+    the minimum.  No noise (scale 0), NaN noise (an infinite scale times
+    ln 1) or a cut that is not finite makes every user a candidate.
+    """
+    if not 0.0 < scale < math.inf:
+        return math.inf
+    v = u_min - 0.5
+    # laplace_noise's -ln(w) from u = 1/2 up, ln(w) below it
+    g = math.copysign(math.log(max(1.0 - 2.0 * abs(v), 5e-324)), v)
+    t = g + width / scale
+    t += 1e-9 * (1.0 + abs(g) + abs(t))
+    cut = 0.5 * math.exp(t) if t < 0.0 else 1.0 - 0.5 * math.exp(-t)
+    return max(cut, u_min) if math.isfinite(cut) else math.inf

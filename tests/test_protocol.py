@@ -10,6 +10,7 @@ from ldpmin.mechanisms import (
     PrivacyBudget,
     RoundBudget,
     debias,
+    laplace_noise,
     laplace_noise_many,
     phi_correction,
     rr_keep_probability,
@@ -645,18 +646,21 @@ class TestBaseline:
         se = math.hypot(ours.std(ddof=1), oracle.std(ddof=1)) / math.sqrt(reps)
         assert abs(ours.mean() - oracle.mean()) < 3 * se
 
-    @pytest.mark.parametrize("epsilon", [5e-324, 1e-300, 1.0, 32.0, math.inf],
-                             ids=["eps5e-324", "eps1e-300", "eps1", "eps32", "epsinf"])
+    @pytest.mark.parametrize("epsilon", [5e-324, 1.5e-308, 1e-305, 1e-300, 1.0, 32.0, math.inf],
+                             ids=["eps5e-324", "eps1.5e-308", "eps1e-305", "eps1e-300", "eps1",
+                                  "eps32", "epsinf"])
     @pytest.mark.parametrize("n", [1, 2, 1000])
     @pytest.mark.parametrize("model", [
         BetaScaled(2.0, 1.0, -1.0, 0.3), BetaScaled(0.5, 3.0, 0.2, 0.5),
         TruncNormal(0.0, 0.3, -0.4, 0.2), BetaScaled(0.01, 1.0, -1.0, 0.3),
     ], ids=["beta(2,1)", "beta(0.5,3)", "truncnorm", "ties-at-min"])
     @pytest.mark.parametrize("kind", ["deferred", "materialized", "fixed"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_pruned_minimum_is_the_full_minimum(self, epsilon, n, model, kind):
         # reading only the users whose report can be the minimum returns the
         # bits of the minimum over all N reports, and leaves the stream where
-        # the full computation leaves it
+        # the full computation leaves it; at eps = 1.5e-308 the scale is finite
+        # but most users' noise overflows to -inf, and the minimum is -inf
         budget = PrivacyBudget(epsilon)
         if kind == "fixed":
             n = max(n, 2)  # a fixed cohort needs two users
@@ -696,6 +700,21 @@ class TestBaseline:
         estimate = baseline_min(iid_cohort(model, 2**20, rng), PrivacyBudget(1.0), rng)
         assert estimate < -1.0
         assert 1 <= model.levels < 100
+
+    def test_iid_baseline_turns_few_uniforms_into_noise(self, monkeypatch):
+        # all N uniforms are drawn, but only those of users who can hold the
+        # minimum pass through the noise transform
+        seen = []
+
+        def spy(u, budget):
+            seen.append(u.size)
+            return laplace_noise(u, budget)
+
+        monkeypatch.setattr(protocol, "laplace_noise", spy)
+        rng = make_rng(13)
+        cohort = iid_cohort(BetaScaled(2.0, 1.0, -1.0, 0.3), 2**20, rng)
+        assert baseline_min(cohort, PrivacyBudget(1.0), rng) < -1.0
+        assert len(seen) == 1 and 1 <= seen[0] < 100
 
     @pytest.mark.parametrize("epsilon", [1.0, 8.0], ids=["eps1", "eps8"])
     def test_fixed_baseline_reads_few_values(self, epsilon):
