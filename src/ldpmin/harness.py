@@ -13,7 +13,10 @@ for one repetition is PCG64 seeded by numpy's SeedSequence on the key
 (seed, mechanism, N, epsilon, x_min, rep), never on loop indices, so cells
 are independent of iteration order and can run in parallel.  numpy mixes
 a cell's part of the key into its pool; ``rep_rng`` mixes in the rep word
-and hashes out the state, 64 reps at a time.  In the i.i.d. setting a
+and hashes out the state, 64 reps at a time.  A sweep walks a cell's reps
+through ``rep_rngs``, which packs the cell's key once and yields the same
+streams in rep order, and keeps only each search's estimate
+(``private_min_estimate``).  In the i.i.d. setting a
 search's stream gives each round's count (``IidCounts``), then its answers;
 a baseline's gives the users' uniforms, then one noise uniform per user, and
 noise is computed, and a value read, only for the users who can hold the
@@ -37,7 +40,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .datagen import BetaScaled, IidCounts, TruncNormal, fixed_cohort, iid_cohort
 from .params import choose_params
-from .protocol import ProtocolConfig, baseline_min, run_nonprivate_min, run_private_min
+from .protocol import ProtocolConfig, baseline_min, private_min_estimate, run_nonprivate_min
+from .protocol import run_private_min  # noqa: F401 - bench hook
 
 MECH_BINARY_SEARCH = "binary_search"
 MECH_LAPLACE = "laplace"
@@ -211,6 +215,16 @@ class _SeedState(ISeedSequence):
         return self.state
 
 
+def _cell_key(seed: int, mechanism: str, n: int, epsilon: float, x_min: float) -> tuple:
+    """The cell's five key words: the floats as their float64 bit patterns."""
+    return (int(seed), _MECH_CODE[mechanism], int(n), _UINT64.unpack(_FLOAT64.pack(epsilon))[0],
+            _UINT64.unpack(_FLOAT64.pack(x_min))[0])
+
+
+def _generator(state: np.ndarray):
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
 def rep_rng(seed: int, mechanism: str, n: int, epsilon: float, x_min: float, rep: int):
     """Independent, order-free stream for one repetition of one cell.
 
@@ -218,10 +232,19 @@ def rep_rng(seed: int, mechanism: str, n: int, epsilon: float, x_min: float, rep
     bits(epsilon), bits(x_min), rep])))``, with bits the float64 bit pattern.
     """
     rep = int(rep)
-    states = _block_states(rep // _REP_BLOCK, int(seed), _MECH_CODE[mechanism], int(n),
-                           _UINT64.unpack(_FLOAT64.pack(epsilon))[0],
-                           _UINT64.unpack(_FLOAT64.pack(x_min))[0])
-    return np.random.Generator(np.random.PCG64(_SeedState(states[rep % _REP_BLOCK])))
+    states = _block_states(rep // _REP_BLOCK, *_cell_key(seed, mechanism, n, epsilon, x_min))
+    return _generator(states[rep % _REP_BLOCK])
+
+
+def rep_rngs(seed: int, mechanism: str, n: int, epsilon: float, x_min: float, reps: int):
+    """The streams of reps 0 .. reps - 1 of one cell, each as :func:`rep_rng` gives it.
+
+    Packs the cell's key once and derives the states 64 reps at a time.
+    """
+    cell = _cell_key(seed, mechanism, n, epsilon, x_min)
+    for start in range(0, reps, _REP_BLOCK):
+        for state in _block_states(start // _REP_BLOCK, *cell)[:reps - start]:
+            yield _generator(state)
 
 
 def _errors_for_placement(spec: ExperimentSpec, mechanism: str, config: ProtocolConfig,
@@ -237,12 +260,12 @@ def _errors_for_placement(spec: ExperimentSpec, mechanism: str, config: Protocol
         return np.full(spec.reps, err)
 
     errs = np.empty(spec.reps)
-    for rep in range(spec.reps):
-        rng = rep_rng(spec.seed, mechanism, config.n, config.epsilon, x_min, rep)
+    rngs = rep_rngs(spec.seed, mechanism, config.n, config.epsilon, x_min, spec.reps)
+    for rep, rng in enumerate(rngs):
         if not fixed:
             cohort = (iid_cohort if mechanism == MECH_LAPLACE else IidCounts)(model, config.n, rng)
         if mechanism == MECH_BINARY_SEARCH:
-            estimate = run_private_min(cohort, config, rng).estimate
+            estimate = private_min_estimate(cohort, config, rng)
         elif mechanism == MECH_LAPLACE:
             estimate = baseline_min(cohort, config.budget, rng)
         else:

@@ -1,6 +1,10 @@
 """Interactive bisection for minimum finding, with and without sanitization.
 
-Every search is one walk, :func:`bisect`.  It keeps an interval [lo, hi],
+Every search is one of two walks over the same interval: :func:`bisect`,
+whose rounds come from a callback (the server, per-user streams and the
+noise-free search), and :func:`_count_walk`, whose rounds it draws itself
+from a count source and one shared stream (every simulated sanitized
+search).  A walk keeps an interval [lo, hi],
 starting from the data domain [-1, 1], and in each of L rounds asks every
 user about the midpoint tau: the raw answer is sign(tau - x_i) with
 sign(0) = +1, so +1 means "my value is at most tau".  The answers are
@@ -9,13 +13,15 @@ into an estimate phi of the fraction at or below tau, and the walk keeps
 the left half when phi >= gamma, tested as sum >= ``config.threshold``.
 The final interval's midpoint is returned: discretization error <= 2^-L.
 
-The noise-free search is the same walk at eps = inf and gamma = 1/(2N):
+The noise-free search is the callback walk at eps = inf and gamma = 1/(2N):
 phi is then the plain fraction count/N, which reaches 1/(2N) exactly when
 at least one user sits at or below tau.
 
 A walk keeps one plain step (tau, sum_z) per round; its transcript builds
 the :class:`RoundRecord` s, phi and branch included, when ``rounds`` is
-read, so a sweep, which reads only the estimate, builds none.
+read.  A sweep, which reads only the estimate, calls
+:func:`private_min_estimate`, whose walk keeps no steps and builds no
+transcript.
 
 A simulated run reads each round's count at tau from a count source (``n``
 and ``count_at_or_below``: a :class:`Cohort`, a ``datagen.FixedCohort`` or,
@@ -150,7 +156,7 @@ def user_respond(x: float, tau: float, budget: RoundBudget, rng) -> int:
 
 
 def bisect(config: ProtocolConfig, round_sum) -> Transcript:
-    """The interval walk behind every search.
+    """The interval walk whose rounds come from a callback.
 
     Round t queries the midpoint tau and takes ``round_sum(t, tau)``, the sum
     of the N answers in {-1, +1}; it keeps the left half when that sum reaches
@@ -188,6 +194,37 @@ def run_nonprivate_min(counts, depth: int) -> Transcript:
                   lambda t, tau: 2 * counts.count_at_or_below(tau) - n)
 
 
+def _count_walk(counts, config: ProtocolConfig, rng, steps: list | None = None) -> float:
+    """The walk on a count source and one shared stream; returns the estimate.
+
+    Each round reads k, the count at tau, then draws the answer sum in law:
+    ``Binom(k, p_keep)`` kept +1s, then ``Binom(n - k, 1 - p_keep)`` flipped
+    -1s, skipping a draw over no users.  Appends (tau, sum_z) to ``steps``
+    when given a list.
+    """
+    n, threshold = config.n, config.threshold
+    count, binomial = counts.count_at_or_below, rng.binomial
+    p_keep, p_flip = config.p_keep, 1.0 - config.p_keep
+    lo, hi = -1.0, 1.0
+    for _ in range(config.depth):
+        tau = lo + (hi - lo) / 2.0  # keeps tau an exact dyadic rational
+        k = count(tau)
+        sum_z = 2 * ((binomial(k, p_keep) if k else 0)
+                     + (binomial(n - k, p_flip) if k != n else 0)) - n
+        if sum_z >= threshold:
+            hi = tau
+        else:
+            lo = tau
+        if steps is not None:
+            steps.append((tau, sum_z))
+    return lo + (hi - lo) / 2.0
+
+
+def _check_size(counts, config: ProtocolConfig) -> None:
+    if counts.n != config.n:
+        raise ValueError(f"cohort size {counts.n} != configured n {config.n}")
+
+
 def run_private_min(counts, config: ProtocolConfig, rng=None, *, user_rngs=None) -> Transcript:
     """Sanitized bisection on ``counts`` under an even eps/L split across rounds.
 
@@ -196,28 +233,24 @@ def run_private_min(counts, config: ProtocolConfig, rng=None, *, user_rngs=None)
     then two binomials, users at or below tau first) or ``user_rngs`` (one
     stream per user of a :class:`Cohort`, as a networked deployment has).
     """
-    n = config.n
-    if counts.n != n:
-        raise ValueError(f"cohort size {counts.n} != configured n {n}")
+    _check_size(counts, config)
     if (rng is None) == (user_rngs is None):
         raise ValueError("pass exactly one of rng or user_rngs")
-    if user_rngs is not None and (not isinstance(counts, Cohort) or len(user_rngs) != n):
-        raise ValueError(f"user_rngs need a cohort's values and {n} streams")
+    if user_rngs is None:
+        steps = []
+        estimate = _count_walk(counts, config, rng, steps)  # before the steps are read
+        return Transcript(config, tuple(steps), estimate)
+    if not isinstance(counts, Cohort) or len(user_rngs) != config.n:
+        raise ValueError(f"user_rngs need a cohort's values and {config.n} streams")
+    budget = config.round_budget
+    return bisect(config, lambda t, tau: sum(user_respond(x, tau, budget, g)
+                                             for x, g in zip(counts.values, user_rngs)))
 
-    if user_rngs is not None:
-        def round_sum(t, tau):
-            budget = config.round_budget
-            return sum(user_respond(x, tau, budget, g) for x, g in zip(counts.values, user_rngs))
-    else:
-        count, binomial = counts.count_at_or_below, rng.binomial
-        p_keep, p_flip = config.p_keep, 1.0 - config.p_keep
-        def round_sum(t, tau):
-            # the N answers' sum in law: of k raw +1s each is kept w.p. p_keep, of
-            # n - k raw -1s each is flipped w.p. p_flip; a draw over no users is skipped
-            k = count(tau)
-            plus = (binomial(k, p_keep) if k else 0) + (binomial(n - k, p_flip) if k != n else 0)
-            return 2 * plus - n
-    return bisect(config, round_sum)
+
+def private_min_estimate(counts, config: ProtocolConfig, rng) -> float:
+    """``run_private_min(counts, config, rng).estimate`` by the same draws, no steps kept."""
+    _check_size(counts, config)
+    return _count_walk(counts, config, rng)
 
 
 def run_private_max(cohort: Cohort, config: ProtocolConfig, rng=None, *, user_rngs=None) -> Transcript:

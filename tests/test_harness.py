@@ -19,6 +19,7 @@ from ldpmin.harness import (
     guideline_curve,
     parse_experiment_config,
     rep_rng,
+    rep_rngs,
     run_experiment,
 )
 from ldpmin.params import choose_params
@@ -126,6 +127,14 @@ class TestStreams:
                                                              epsilon, x_min, rep):
         self.assert_reference_stream(seed, mechanism, n, epsilon, x_min, rep)
 
+    # a seed past 32 bits takes a second key word, which shifts the rep word's constants
+    @pytest.mark.parametrize("seed", [7, 2**40 + 5])
+    @pytest.mark.parametrize("reps", [1, 63, 64, 65, 130])
+    def test_cell_streams_are_the_rep_streams(self, seed, reps):
+        key = (seed, MECH_LAPLACE, 4096, 4.0, -0.3)
+        got = [g.random(2).tolist() for g in rep_rngs(*key, reps)]
+        assert got == [rep_rng(*key, rep).random(2).tolist() for rep in range(reps)]
+
     @pytest.mark.parametrize("seed, rep", [(-1, 0), (0, -1), (0, 2**32)])
     def test_key_outside_its_words_is_refused(self, seed, rep):
         with pytest.raises(ValueError):
@@ -229,7 +238,7 @@ class TestRunExperiment:
             raise AssertionError("a repetition ran")
 
         monkeypatch.setattr(harness, "fixed_cohort", no_run)
-        monkeypatch.setattr(harness, "run_private_min", no_run)
+        monkeypatch.setattr(harness, "private_min_estimate", no_run)
         spec = small_spec(param_mode="known_alpha:0.1", n_grid=(1024, 2048))
         with pytest.raises(ValueError, match="54"):
             run_experiment(spec)
@@ -239,18 +248,33 @@ class TestRunExperiment:
             small_spec(xmin_grid=(0.9,))
 
     def test_sweep_builds_no_round_record(self, monkeypatch):
-        # a sweep reads only each run's estimate, so no run builds its records
+        # a sweep reads only each run's estimate, so no run builds its records,
+        # and its sanitized searches and baselines build no transcript
         from ldpmin import protocol
 
         built, record = [], protocol.RoundRecord
+        transcripts, transcript = [], protocol.Transcript
 
         def counting_record(*fields):
             built.append(fields)
             return record(*fields)
 
+        def counting_transcript(*fields):
+            transcripts.append(fields)
+            return transcript(*fields)
+
         monkeypatch.setattr(protocol, "RoundRecord", counting_record)
+        monkeypatch.setattr(protocol, "Transcript", counting_transcript)
         for setting in ("fixed", "iid"):
-            run_experiment(small_spec(setting=setting, reps=3, mechanisms=MECHANISMS))
+            spec = small_spec(setting=setting, reps=3, mechanisms=MECHANISMS)
+            run_experiment(spec)
+            # the noise-free search walks by callback and builds one transcript
+            # per run: an i.i.d. nonprivate cell one each rep, a fixed nonprivate
+            # cell one per placement; every other cell builds none
+            runs = spec.reps if setting == "iid" else 1
+            assert len(transcripts) == len(spec.n_grid) * len(spec.xmin_grid) * runs
+            assert {config.epsilon for config, _, _ in transcripts} == {math.inf}
+            transcripts.clear()
         assert built == []
         # the counter sees the records a reader asks for
         config = choose_params("lower_alpha", 64, 2.0)

@@ -188,14 +188,30 @@ class TestLaplace:
         tol = 3 * (b * math.sqrt(2)) / math.sqrt(10**5)
         assert abs(draws.mean() - x) < tol
 
-    def test_vectorized_noise_matches_scalar_stream(self):
+    def test_vectorized_noise_is_laplace_noise_of_the_scalar_uniforms(self):
+        # exact: one uniform per draw, in index order, taken where the scalar
+        # stream takes them, and the stream left where it leaves it
+        from ldpmin.mechanisms import laplace_noise, laplace_noise_many
+
+        budget = PrivacyBudget(0.5)
+        for seed in range(300):
+            rng, scalar_rng = make_rng(seed), make_rng(seed)
+            vec = laplace_noise_many(9, budget, rng)
+            uniforms = np.array([scalar_rng.random() for _ in range(9)])
+            assert vec.tolist() == laplace_noise(uniforms, budget).tolist()
+            assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_vectorized_noise_is_within_an_ulp_of_the_scalar_reference(self):
+        # numpy's log is not libm's math.log: they may differ in the last bit
+        # (11 of these 300 seeds do), and nothing in the package promises libm's bits
         from ldpmin.mechanisms import laplace_noise_many
 
         budget = PrivacyBudget(0.5)
-        vec = laplace_noise_many(9, budget, make_rng(14))
-        scalar_rng = make_rng(14)
-        scalar = [laplace_sanitize(0.0, budget, scalar_rng) for _ in range(9)]
-        assert vec.tolist() == scalar
+        for seed in range(300):
+            vec = laplace_noise_many(9, budget, make_rng(seed))
+            scalar_rng = make_rng(seed)
+            scalar = np.array([laplace_sanitize(0.0, budget, scalar_rng) for _ in range(9)])
+            assert np.all(np.abs(vec - scalar) <= np.spacing(np.abs(scalar)))
 
     def test_median_and_mad_scale(self):
         # noise median ~ 0; median |noise| = b ln 2 recovers the scale

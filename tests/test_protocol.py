@@ -24,6 +24,7 @@ from ldpmin.protocol import (
     ProtocolConfig,
     baseline_min,
     bisect,
+    private_min_estimate,
     run_nonprivate_min,
     run_private_max,
     run_private_min,
@@ -519,6 +520,65 @@ class TestPrivateMin:
         config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.5, n=4)
         t = run_private_min(fixed_cohort_of([0.0, 0.1, 0.2, 0.3]), config, make_rng(0))
         assert not t.config.degenerate_gamma
+
+
+class TestEstimateOnly:
+    """``private_min_estimate`` against ``run_private_min``: the same estimate
+    to the bit, and each stream left at the same place."""
+
+    CASES = {
+        "fixed-uniform": (lambda rng: fixed_cohort(BetaScaled(1.0, 1.0, -0.7, 0.3), 4096),
+                          4.0, 14, 0.01),
+        "fixed-beta21": (lambda rng: fixed_cohort(BetaScaled(2.0, 1.0, -0.3, 0.4), 1000),
+                         1.0, 12, 0.02),
+        "fixed-truncnorm": (lambda rng: fixed_cohort(TruncNormal(0.0, 1.0, -1.0, -0.7), 777),
+                            2.0, 12, 0.02),
+        "cohort-ties": (lambda rng: fixed_cohort_of([0.25] * 5 + [-0.5] * 3 + [0.9]),
+                        3.0, 10, 0.2),
+        "cohort-one-user": (lambda rng: fixed_cohort_of([-0.125]), 8.0, 10, 0.3),
+        "iid-counts": (lambda rng: IidCounts(BetaScaled(2.0, 1.0, -0.3, 0.4), 1000, rng),
+                       4.0, 12, 0.02),
+        "noise-free": (lambda rng: fixed_cohort_of([0.1, -0.4, 0.8]), math.inf, 10, 1 / 6),
+        "degenerate-gamma": (lambda rng: fixed_cohort_of(np.linspace(-0.5, 0.5, 9)),
+                             2.0, 10, 50.0),
+        "depth-1": (lambda rng: fixed_cohort_of(np.linspace(-0.5, 0.5, 9)), 2.0, 1, 0.1),
+        "max-depth": (lambda rng: fixed_cohort(BetaScaled(1.0, 1.0, -1.0, 2.0), 512),
+                      8.0, MAX_DEPTH, 0.05),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_estimate_is_the_transcript_estimate(self, case, seed):
+        make_counts, epsilon, depth, gamma = case
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        counts, ref_counts = make_counts(rng), make_counts(ref_rng)  # a source each
+        config = ProtocolConfig(epsilon, depth, gamma, counts.n)
+        assert config.degenerate_gamma == (gamma == 50.0)
+        estimate = private_min_estimate(counts, config, rng)
+        t = run_private_min(ref_counts, config, ref_rng)
+        assert len(t.steps) == depth
+        assert estimate.hex() == t.estimate.hex()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cohort_values, st.integers(min_value=1, max_value=MAX_DEPTH),
+           st.floats(min_value=0.0, max_value=1.5),
+           st.floats(min_value=0.05, max_value=60.0) | st.just(math.inf),
+           st.integers(0, 2**32 - 1))
+    def test_estimate_is_the_transcript_estimate_on_any_cohort(self, values, depth, gamma,
+                                                              epsilon, seed):
+        cohort = fixed_cohort_of(values)
+        config = ProtocolConfig(epsilon, depth, gamma, cohort.n)
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        estimate = private_min_estimate(cohort, config, rng)
+        assert estimate.hex() == run_private_min(cohort, config, ref_rng).estimate.hex()
+        assert rng.random() == ref_rng.random()
+
+    def test_cohort_size_must_match_config(self):
+        config = ProtocolConfig(epsilon=1.0, depth=1, gamma=0.1, n=2)
+        with pytest.raises(ValueError, match="cohort size 1 != configured n 2"):
+            private_min_estimate(fixed_cohort_of([0.0]), config, make_rng(0))
 
 
 def ks_critical(reps: int) -> float:
