@@ -6,22 +6,24 @@ fields use the shortest round-trip decimal so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 runtime or protocol failure (an
 allocation the host cannot make included).
+
+At module level this imports only the stdlib, ``net``, ``params`` and
+``protocol``, so ``serve`` and ``--help`` load neither numpy nor scipy.
+``client``, ``simulate``, ``experiment`` and ``fit`` load numpy, importing
+``harness``, ``analysis`` and ``datagen`` where they use them; scipy loads
+only for a model that needs it (see ``datagen``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, harness, net
-from .datagen import Cohort, IidCounts, fixed_cohort
+from . import net
 from .params import choose_params
 from .protocol import ProtocolConfig, Transcript, run_private_min
 
@@ -29,7 +31,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(harness.CellResult))
 BOUND_COLUMNS = ("n", "epsilon", "x_min", "quantile_term", "noise_term",
                  "discretization_term", "bound", "applicable", "err_over_bound")
 # simulate's model flags, by the ModelTemplate field each sets
@@ -81,11 +82,15 @@ def _write_csv(out_path, header, rows) -> None:
 
 
 def write_result_csv(rows, out_path) -> None:
+    from .harness import RESULT_COLUMNS
+
     _write_csv(out_path, RESULT_COLUMNS, ([getattr(r, c) for c in RESULT_COLUMNS] for r in rows))
 
 
 def _bound_row(spec, cell) -> tuple:
     """A search cell's bounds.csv row: :func:`analysis.error_bound` at its worst placement."""
+    from . import analysis
+
     config = choose_params(spec.param_mode, cell.n, cell.epsilon)
     b = analysis.error_bound(spec.model.place(cell.x_min), config, spec.setting)
     return (cell.n, cell.epsilon, cell.x_min, b.quantile_term, b.noise_term,
@@ -101,6 +106,11 @@ def _parse_epsilon(text: str) -> float:
 
 def _simulate_cohort(args, rng):
     """The count source a simulated search reads: a cohort, or a model's fixed or iid counts."""
+    import numpy as np
+
+    from .datagen import Cohort, IidCounts, fixed_cohort
+    from .harness import ModelTemplate
+
     given = {k: v for k, v in vars(args).items() if k in COHORT_FLAGS}
     if args.data is not None:
         if given:
@@ -118,13 +128,15 @@ def _simulate_cohort(args, rng):
     if args.n is None:
         raise UsageError("either --n (with --model) or --data is required")
     model_args = {k: v for k, v in given.items() if k in MODEL_FLAGS}
-    model = harness.ModelTemplate(**model_args).place(given.get("x_min", -1.0))
+    model = ModelTemplate(**model_args).place(given.get("x_min", -1.0))
     if given.get("setting", "fixed") == "fixed":
         return fixed_cohort(model, args.n)
     return IidCounts(model, args.n, rng)
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
     if (args.gamma is None) == (args.param_mode is None):
         raise UsageError("pass exactly one of --gamma or --param-mode")
     if args.gamma is not None and args.depth is None:
@@ -154,6 +166,8 @@ def cmd_simulate(args) -> int:
 
 def write_experiment(spec, cells, out_dir, config_path) -> None:
     """Write a sweep's results.csv, bounds.csv, guideline_eps<eps>.csv files and run_meta.json."""
+    from . import harness
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_result_csv(cells, out_dir / "results.csv")
@@ -186,12 +200,16 @@ def write_experiment(spec, cells, out_dir, config_path) -> None:
 
 
 def cmd_experiment(args) -> int:
+    from . import harness
+
     spec = harness.parse_experiment_config(args.config)
     write_experiment(spec, harness.run_experiment(spec), args.out_dir, args.config)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
+    from .analysis import fit_rate
+
     curves = {}  # (mechanism, epsilon) -> points, in file order
     with open(args.csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -210,7 +228,7 @@ def cmd_fit(args) -> int:
         curve = f"mechanism {mechanism}, epsilon {epsilon}" if len(curves) > 1 else None
         if curve:
             print(f"# {curve}")
-        fit = analysis.fit_rate(points)
+        fit = fit_rate(points)
         print(f"A = {fit.A!r}")
         print(f"B = {fit.B!r}")
         print(f"C = {fit.C!r}")
@@ -288,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     # model flags left out take ModelTemplate's defaults, and --x-min and
     # --setting those of _simulate_cohort; none is set unless given
     sim.add_argument("--model", dest="kind", default=argparse.SUPPRESS,
-                     help=" | ".join(harness.MODEL_KINDS))
+                     help="uniform | beta | truncnorm")  # harness.MODEL_KINDS
     for field, flag in list(MODEL_FLAGS.items())[1:]:  # the real-valued parameters
         sim.add_argument(flag, dest=field, type=float, default=argparse.SUPPRESS)
     sim.add_argument("--x-min", type=float, default=argparse.SUPPRESS,

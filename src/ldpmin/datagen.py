@@ -32,7 +32,8 @@ truncated normal loads scipy, on its first ``cdf``, ``quantile`` or
 ``fatness_constant`` (a truncated normal's, when it is built, as it evaluates
 its edges), so a process that evaluates no such model (the aggregator, a
 client, ``simulate --data``, ``fit``, any uniform or beta(alpha, 1) run) never
-loads it.
+loads it.  The aggregator and ``serve`` do not import this module, so they
+load no numpy either.
 """
 
 from __future__ import annotations

@@ -155,6 +155,9 @@ class CellResult:
     seed: int
 
 
+RESULT_COLUMNS = tuple(f.name for f in fields(CellResult))  # results.csv's header
+
+
 # numpy's SeedSequence (bit_generator.pyx, a pool of 4 uint32 words) for keys
 # that differ only in their last word.  rep_rng's key is a cell's five ints, at
 # least one word each, then the rep's one word: numpy mixes the cell into its

@@ -13,15 +13,19 @@ sanitized value), so a run is replayable from its seed;
 can draw all N and transform only those it reads.  A simulated round takes
 none of these: ``protocol`` draws its answer sum as two binomials.
 ``epsilon = math.inf`` is accepted everywhere as the no-noise switch used
-by equivalence tests.
+by equivalence tests.  Only the array mechanisms, :func:`rr_respond_many` and
+:func:`laplace_noise`, import numpy, when called, so the aggregator, which
+uses the scalar ones, never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _validate_epsilon(value: float, name: str) -> None:
@@ -92,6 +96,8 @@ def rr_respond_many(bits: np.ndarray, budget: RoundBudget, rng) -> np.ndarray:
     bit-identical to calling :func:`randomized_response` in a loop over the
     same stream.
     """
+    import numpy as np
+
     bits = np.asarray(bits)
     u = rng.random(bits.shape[0])
     return np.where(u < rr_keep_probability(budget), bits, -bits)
@@ -141,6 +147,8 @@ def laplace_noise(u: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     Nondecreasing in u: -scale * ln(w) above u = 1/2, scale * ln(w) below it,
     w = 1 - 2|u - 1/2|.
     """
+    import numpy as np
+
     v = u - 0.5
     w = 1.0 - 2.0 * np.abs(v)
     np.maximum(w, 5e-324, out=w)  # u == 0.0 happens with probability 2^-53; avoid log(0)

@@ -34,6 +34,10 @@ client answers QUERY rounds 1..depth of the one START it accepted (depth in
 [-1, 1], and ends any other line (an unknown name, an empty line) as
 ``protocol-error``.  Its ``timeout`` bounds each line, so a session lasts at
 most depth + 2 of them.
+
+The aggregator's whole import chain (this module, ``protocol``,
+``mechanisms``) loads neither numpy nor scipy; :func:`run_client` imports
+numpy when it builds its stream, numpy's PCG64 seeded by ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from __future__ import annotations
 import socket
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .mechanisms import RoundBudget
 from .mechanisms import unbiased_phi  # noqa: F401 - bench/server.py traces it here
@@ -126,9 +128,13 @@ class MinServer:
         self.wire_log: list[tuple[int, str]] = []
         self._clients: list[_Client] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(min(config.n, socket.SOMAXCONN))  # the kernel caps it anyway
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen(min(config.n, socket.SOMAXCONN))  # the kernel caps it anyway
+        except BaseException:  # OSError, or OverflowError for a port past 65535: close, re-raise
+            self._sock.close()
+            raise
         self.address = self._sock.getsockname()
 
     def _broadcast(self, line: str) -> None:
@@ -221,6 +227,8 @@ def run_client(connect_address: tuple[str, int], x: float, seed: int | None,
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"value must lie in [-1, 1], got {x!r}")
     check_timeout(timeout)
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     with socket.create_connection(connect_address, timeout=timeout) as conn:

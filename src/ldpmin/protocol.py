@@ -31,7 +31,8 @@ run's stream), then draws the answer sum as two binomials from that stream
 seed); a binomial over no users is skipped, as numpy returns 0 for it before
 touching the stream.  Passing a cohort and ``user_rngs`` simulates one independent
 stream per user instead (one uniform per sanitized bit); the estimator
-distribution is identical either way.
+distribution is identical either way.  This module imports neither numpy nor
+``datagen``, so the aggregator that runs :func:`bisect` loads neither.
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .datagen import Cohort
 from .mechanisms import (
     PrivacyBudget,
     RoundBudget,
@@ -55,6 +53,9 @@ from .mechanisms import (
     rr_keep_probability,
 )
 from .mechanisms import laplace_noise_many, rr_respond_many  # noqa: F401 - bench hooks
+
+if TYPE_CHECKING:
+    from .datagen import Cohort
 
 BRANCH_LEFT = "left"
 BRANCH_RIGHT = "right"
@@ -240,6 +241,8 @@ def run_private_min(counts, config: ProtocolConfig, rng=None, *, user_rngs=None)
         steps = []
         estimate = _count_walk(counts, config, rng, steps)  # before the steps are read
         return Transcript(config, tuple(steps), estimate)
+    from .datagen import Cohort
+
     if not isinstance(counts, Cohort) or len(user_rngs) != config.n:
         raise ValueError(f"user_rngs need a cohort's values and {config.n} streams")
     budget = config.round_budget
@@ -285,7 +288,7 @@ def baseline_min(cohort, budget: PrivacyBudget, rng) -> float:
     """
     u = rng.random(cohort.n)
     lo, hi = cohort.bounds
-    cand = np.flatnonzero(u <= _candidate_cut(float(u.min()), hi - lo, laplace_scale(budget)))
+    cand = (u <= _candidate_cut(float(u.min()), hi - lo, laplace_scale(budget))).nonzero()[0]
     return float((cohort.values_at(cand) + laplace_noise(u[cand], budget)).min())
 
 

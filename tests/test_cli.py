@@ -72,6 +72,16 @@ class TestSimulate:
         final = json.loads(out.strip().splitlines()[-1])
         assert final["depth"] == 5  # ceil(log2(1000)/2)
 
+    def test_model_help_names_every_model_kind(self, capsys, monkeypatch):
+        # cli spells the kinds out, so that --help imports no harness
+        monkeypatch.setenv("COLUMNS", "200")  # no wrapping
+        with pytest.raises(SystemExit) as done:
+            cli.main(["simulate", "--help"])
+        assert done.value.code == 0
+        (line,) = [s for s in capsys.readouterr().out.splitlines()
+                   if s.strip().startswith("--model KIND")]
+        assert tuple(line.split(None, 2)[2].split(" | ")) == harness.MODEL_KINDS
+
     def test_invalid_model_parameters(self, capsys):
         code, _, err = run_main(capsys, [
             "simulate", "--model", "beta", "--model-alpha", "-1", "--n", "5",
@@ -277,7 +287,7 @@ class TestExperiment:
         code, _, _ = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
         assert code == 0
         rows = (out_dir / "results.csv").read_text().strip().splitlines()
-        assert rows[0] == ",".join(cli.RESULT_COLUMNS)
+        assert rows[0] == ",".join(harness.RESULT_COLUMNS)
         assert len(rows) - 1 == 3 * 1 * 2  # |n_grid| * |eps_grid| * |mechanisms|
         guideline = (out_dir / "guideline_eps2.csv").read_text().strip().splitlines()
         assert guideline[0] == "n,guideline_value"

@@ -1,17 +1,25 @@
-"""scipy loads only when a beta with beta != 1 or a truncated normal is evaluated.
+"""What a cold start loads: numpy only where arrays are made, scipy only for a model.
+
+numpy loads in ``client``, ``simulate``, ``experiment`` and ``fit``, never in
+the aggregator (``ldpmin.net``, a ``serve`` session) or at ``import
+ldpmin.cli`` and ``--help``.  scipy loads only when a beta with beta != 1 or a
+truncated normal is evaluated.
 
 Each check runs in a new interpreter on the package under src/, since this
-test process has scipy loaded already.  A script prints ``"scipy" in
-sys.modules`` last.
+test process has numpy and scipy loaded already.  A script prints
+``"<module>" in sys.modules`` last.
 """
 
 import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+
+from ldpmin.net import format_real, run_client
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BLOCK_SCIPY = 'sys.modules["scipy"] = None  # any import of scipy now fails\n'
@@ -19,16 +27,22 @@ SIMULATE_DATA = ["simulate", "--data", "0.5,-0.25", "--epsilon", "1", "--depth",
                  "--gamma", "0.5"]
 
 
+def interpreter(script: str, *, block_scipy: bool = False) -> dict:
+    """``subprocess`` arguments for a new interpreter running ``script`` after ``import sys``."""
+    code = "import sys\n" + (BLOCK_SCIPY if block_scipy else "") + textwrap.dedent(script)
+    return {"args": [sys.executable, "-c", code], "text": True,
+            "env": {**os.environ, "PYTHONPATH": str(SRC)}}
+
+
 def fresh(script: str, *, block_scipy: bool = False) -> subprocess.CompletedProcess:
     """Run ``script`` in a new interpreter, after ``import sys``."""
-    code = "import sys\n" + (BLOCK_SCIPY if block_scipy else "") + textwrap.dedent(script)
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=env)
+    return subprocess.run(**interpreter(script, block_scipy=block_scipy),
+                          capture_output=True, timeout=120)
 
 
-def scipy_loaded(script: str) -> bool:
-    done = fresh(textwrap.dedent(script) + '\nprint("scipy" in sys.modules)\n')
+def loaded(module: str, script: str) -> bool:
+    """Whether ``module`` is loaded once ``script`` has run in a new interpreter."""
+    done = fresh(textwrap.dedent(script) + f'\nprint({module!r} in sys.modules)\n')
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1] == "True"
 
@@ -43,11 +57,57 @@ def rates_csv(tmp_path):
 
 @pytest.mark.parametrize("module", ["ldpmin.cli", "ldpmin.net"])
 def test_import_loads_no_scipy(module):
-    assert not scipy_loaded(f"import {module}")
+    assert not loaded("scipy", f"import {module}")
+
+
+@pytest.mark.parametrize("module", ["ldpmin.cli", "ldpmin.net"])
+def test_import_loads_no_numpy(module):
+    assert not loaded("numpy", f"import {module}")
+
+
+def test_serve_help_loads_no_numpy():
+    assert not loaded("numpy", """
+        import contextlib, io
+        from ldpmin import cli
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            try:
+                cli.main(["serve", "--help"])
+            except SystemExit as done:
+                assert done.code == 0
+        assert "--clients" in out.getvalue()
+    """)
+
+
+def test_serve_session_loads_no_numpy():
+    # the clients run in this process, so the server's interpreter holds only
+    # the aggregator
+    script = """
+        from ldpmin import cli
+        code = cli.main(["serve", "--clients", "2", "--epsilon", "4", "--depth", "8",
+                         "--gamma", "0.3", "--timeout", "60"])
+        print("numpy" in sys.modules, "scipy" in sys.modules)
+        sys.exit(code)
+    """
+    with subprocess.Popen(**interpreter(script), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as server:
+        try:
+            listening, address = server.stdout.readline().split()
+            assert listening == "LISTENING"
+            host, _, port = address.rpartition(":")
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                clients = [pool.submit(run_client, (host, int(port)), x, seed, timeout=60.0)
+                           for x, seed in ((0.25, 1), (-0.5, 2))]
+                estimates = {c.result(timeout=60.0) for c in clients}
+            out, err = server.communicate(timeout=60)
+        finally:
+            server.kill()
+    assert server.returncode == 0, err
+    (estimate,) = estimates
+    assert out.splitlines() == [f"RESULT {format_real(estimate)}", "False False"]
 
 
 def test_fit_and_simulate_data_load_no_scipy(rates_csv):
-    assert not scipy_loaded(f"""
+    assert not loaded("scipy", f"""
         import contextlib, io
         from ldpmin import cli
         with contextlib.redirect_stdout(io.StringIO()):
@@ -57,7 +117,7 @@ def test_fit_and_simulate_data_load_no_scipy(rates_csv):
 
 
 def test_loopback_session_loads_no_scipy():
-    assert not scipy_loaded("""
+    assert not loaded("scipy", """
         import threading
         from ldpmin.net import MinServer, run_client
         from ldpmin.protocol import ProtocolConfig
@@ -99,14 +159,14 @@ def test_first_evaluation_loads_scipy(model, call, oracle):
 
 
 def test_beta_model_is_built_without_scipy():
-    assert not scipy_loaded("""
+    assert not loaded("scipy", """
         from ldpmin.datagen import BetaScaled
         BetaScaled(2.0, 2.0, -1.0, 0.3)
     """)
 
 
 def test_fatness_constant_loads_scipy():
-    assert scipy_loaded("""
+    assert loaded("scipy", """
         from ldpmin.datagen import BetaScaled
         BetaScaled(2.0, 2.0, -1.0, 0.3).fatness_constant()
     """)
@@ -163,6 +223,35 @@ def run_with_and_without_scipy(model, kind, setting, tmp_path):
         assert done.stdout.splitlines()[-1] == "[]"
         outputs[block] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert outputs[False] and outputs[True] == outputs[False]
+
+
+CLIENT_SESSION = """
+    import threading
+    from ldpmin import cli
+    from ldpmin.net import MinServer
+    from ldpmin.protocol import ProtocolConfig
+    server = MinServer(ProtocolConfig(4.0, 8, 0.3, 1), 1, round_timeout=60.0)
+    serve = threading.Thread(target=server.run)
+    serve.start()
+    host, port = server.address
+    code = cli.main(["client", "--connect", f"{host}:{port}", "--value", "0.25", "--seed", "1"])
+    serve.join(timeout=60.0)
+    assert code == 0 and not serve.is_alive()
+"""
+
+
+@pytest.mark.parametrize("command", ["client", "simulate", "simulate-data", "experiment", "fit"])
+def test_array_commands_load_numpy_where_they_run(command, rates_csv, tmp_path):
+    # one interpreter each, so no command's imports stand in for another's
+    if command == "client":
+        script = CLIENT_SESSION
+    else:
+        if command in ("simulate", "experiment"):
+            argv = closed_form_run("uniform", command, "iid", tmp_path, tmp_path)
+        else:
+            argv = {"simulate-data": SIMULATE_DATA, "fit": ["fit", str(rates_csv)]}[command]
+        script = f"from ldpmin import cli\nassert cli.main({argv!r}) == 0"
+    assert loaded("numpy", script)
 
 
 @pytest.mark.parametrize("setting", ["fixed", "iid"])

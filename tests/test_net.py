@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import math
 import socket
 import threading
@@ -201,6 +202,37 @@ class TestFailurePaths:
         # no server is listening; a domain error must win over any socket error
         with pytest.raises(ValueError, match="value"):
             run_client(("127.0.0.1", 1), 1.5, 0)
+
+    @pytest.mark.parametrize("host, port, error", [
+        ("256.1.1.1", 0, socket.gaierror),
+        ("127.0.0.1", None, OSError),  # the port of a server still listening
+        ("127.0.0.1", 65536, OverflowError),
+    ], ids=["bad-host", "port-in-use", "port-out-of-range"])
+    def test_failed_bind_closes_its_socket(self, monkeypatch, host, port, error):
+        config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.4, n=2)
+        listening = MinServer(config, 2)
+        made, closed = [], []
+
+        class Recorded(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(socket, "socket", Recorded)
+        try:
+            with pytest.raises(error) as raised:
+                MinServer(config, 2, host=host,
+                          port=listening.address[1] if port is None else port)
+        finally:
+            listening._close()
+        assert len(made) == 1 and closed == made
+        assert made[0].fileno() == -1
+        if port is None:  # re-raised as bind raised it
+            assert raised.value.errno == errno.EADDRINUSE
 
     def test_round_timeout_aborts_everyone(self):
         config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.4, n=2)
