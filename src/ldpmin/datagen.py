@@ -21,6 +21,9 @@ cost that does not grow with N:
   :func:`iid_cohort`: one uniform level per user, its quantile evaluated only
   where read.
 
+Each cohort reads values for the baseline on an index array (``values_at``)
+or one float at a time (``value_at``), with the same bits.
+
 Quantiles of both models are closed forms (the inverse incomplete
 beta function; the normal quantile on the side of the mean where the
 support's tail keeps its relative precision), clamped to the support; sampling
@@ -235,6 +238,9 @@ class Cohort:
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.values[idx]
 
+    def value_at(self, i: int) -> float:
+        return self.values.item(i)
+
     @functools.cached_property
     def _sorted(self) -> np.ndarray:
         return np.sort(self.values)
@@ -261,6 +267,9 @@ class DeferredCohort:
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.model.quantile(self.levels[idx])
 
+    def value_at(self, i: int) -> float:
+        return self.model.quantile(self.levels.item(i))
+
 
 class FixedCohort:
     """The fixed cohort of ``model``: value i is ``model.quantile(i / (n - 1))``,
@@ -278,6 +287,11 @@ class FixedCohort:
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.model.quantile(idx / (self.n - 1))
+
+    def value_at(self, i: int) -> float:
+        # the level as numpy divides an index array: both as floats, not
+        # Python's exact i / (n - 1), which differs once n - 1 > 2^53
+        return self.model.quantile(float(i) / float(self.n - 1))
 
     def count_at_or_below(self, tau: float) -> int:
         """Users with value <= tau, counted once per tau."""

@@ -20,7 +20,7 @@ streams in rep order, and keeps only each search's estimate
 search's stream gives each round's count (``IidCounts``), then its answers;
 a baseline's gives the users' uniforms, then one noise uniform per user, and
 noise is computed, and a value read, only for the users who can hold the
-minimum.  A fixed placement's one ``fixed_cohort`` serves all its
+minimum, one float at a time when they are few.  A fixed placement's one ``fixed_cohort`` serves all its
 repetitions: a search counts from the model, each tau once, and a baseline
 reads only the users that can hold the minimum.
 

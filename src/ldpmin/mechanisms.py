@@ -10,12 +10,14 @@ All sampling goes through an explicitly passed random stream and each
 operation here consumes a fixed number of uniform variates (one per
 sanitized value), so a run is replayable from its seed;
 :func:`laplace_noise` takes its uniforms ready drawn, so the Laplace baseline
-can draw all N and transform only those it reads.  A simulated round takes
-none of these: ``protocol`` draws its answer sum as two binomials.
-``epsilon = math.inf`` is accepted everywhere as the no-noise switch used
-by equivalence tests.  Only the array mechanisms, :func:`rr_respond_many` and
-:func:`laplace_noise`, import numpy, when called, so the aggregator, which
-uses the scalar ones, never loads it.
+can draw all N and transform only those it reads, and
+:func:`laplace_noise_one` is its float form, for a baseline with few users
+to read.  A simulated round takes none of these: ``protocol`` draws its
+answer sum as two binomials.  ``epsilon = math.inf`` is accepted everywhere
+as the no-noise switch used by equivalence tests.  Only the array
+mechanisms, :func:`rr_respond_many` and :func:`laplace_noise`, and the
+Laplace float form (for numpy's ``log``) import numpy, when called, so the
+aggregator, which uses the scalar randomized response, never loads it.
 """
 
 from __future__ import annotations
@@ -156,6 +158,19 @@ def laplace_noise(u: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     w *= laplace_scale(budget)
     w *= np.where(v >= 0.0, -1.0, 1.0)  # not -w: keeps the sign of inf * ln(1)'s NaN
     return w
+
+
+def laplace_noise_one(u: float, scale: float) -> float:
+    """:func:`laplace_noise` of one float uniform at a scale in (0, inf), bit for bit.
+
+    The same operations in the same order, with numpy's ``log``: ``math.log``
+    differs from it by up to 1 ulp.
+    """
+    import numpy as np
+
+    v = u - 0.5
+    w = float(np.log(max(1.0 - 2.0 * abs(v), 5e-324)))
+    return w * scale * (-1.0 if v >= 0.0 else 1.0)
 
 
 def laplace_noise_many(n: int, budget: PrivacyBudget, rng) -> np.ndarray:

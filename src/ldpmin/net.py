@@ -113,7 +113,10 @@ class MinServer:
     Binds immediately (``address`` is available right after construction);
     :meth:`run` accepts ``config.n`` connections, executes the rounds and
     returns the transcript.  ``wire_log`` keeps every raw inbound line as
-    (client_index, line) pairs for auditing, in read order.
+    (client_index, line) pairs for auditing, in read order.  A config whose
+    every branch goes the same way whatever the answers (``degenerate_gamma``
+    or ``always_left``) is refused before binding: its session would spend
+    every user's budget on an estimate fixed in advance.
     """
 
     def __init__(self, config: ProtocolConfig, expected_clients: int,
@@ -123,6 +126,10 @@ class MinServer:
             raise ValueError(
                 f"expected_clients = {expected_clients} must equal config.n = {config.n}"
             )
+        if config.degenerate_gamma or config.always_left:
+            side = "right" if config.degenerate_gamma else "left"
+            raise ValueError(f"threshold {config.threshold} at n = {config.n} sends every "
+                             f"branch {side}: the estimate is fixed before any answer")
         self.config = config
         self.round_timeout = check_timeout(round_timeout)
         self.wire_log: list[tuple[int, str]] = []

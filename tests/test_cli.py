@@ -212,6 +212,18 @@ class TestSimulate:
         assert lines[-1]["gamma"] == "inf" and lines[-1]["degenerate_gamma"] is True
         assert [r["branch"] for r in lines[:-1]] == ["right"] * 3
 
+    def test_simulate_runs_a_walk_that_always_goes_left(self, capsys):
+        # gamma 0 at eps = inf: every sum reaches the threshold; a simulation
+        # spends no one's budget, so it runs, and its summary keeps its keys
+        code, out, _ = run_main(capsys, [
+            "simulate", "--data", "0.5,-0.25", "--epsilon", "inf", "--depth", "4",
+            "--gamma", "0",
+        ])
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [r["branch"] for r in lines[:-1]] == ["left"] * 4
+        assert lines[-1]["estimate"] == -0.9375 and lines[-1]["degenerate_gamma"] is False
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "transcript.jsonl"
         code, out, _ = run_main(capsys, [
@@ -528,6 +540,25 @@ def test_stock_results_are_unchanged(stock_run, name):
 # (measured: 1.058 uniform, 1.058 beta(2,1), 1.008 baseline_eps1)
 BOUND_RATIO_WINDOW = 1.25
 
+# The only sweep shape whose Laplace baseline reads an i.i.d. cohort (the
+# bench's sweep_iid, smaller); no bundled config does.  Its digest was taken
+# before the baseline gained its float path.
+IID_BASELINE_CFG = """\
+model = beta
+alpha = 2
+beta = 1
+delta = 0.3
+setting = iid
+n_grid = 256, 512, 1024
+epsilon_grid = 1
+param_mode = lower_alpha
+reps = 5
+xmin_grid = auto
+seed = 20240817
+mechanisms = binary_search, laplace
+"""
+IID_BASELINE_DIGEST = "2e70ce36d8a7a58bf7a26c1756ef879d457e66a3708419f63d2deda81e2cedea"
+
 
 @pytest.mark.parametrize("name", sorted(STOCK_DIGESTS))
 def test_stock_errors_lie_within_their_bounds(stock_run, name):
@@ -551,6 +582,19 @@ def test_stock_errors_lie_within_their_bounds(stock_run, name):
             ratios.append(float(row["err_over_bound"]))
     assert len(ratios) >= 2
     assert max(ratios) / min(ratios) <= BOUND_RATIO_WINDOW
+
+
+def test_iid_baseline_results_are_unchanged(capsys, tmp_path):
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__,
+                "python": platform.python_version()}
+    if versions != STOCK_VERSIONS:
+        pytest.skip(f"digest recorded with {STOCK_VERSIONS}, running {versions}")
+    cfg = tmp_path / "iid_baseline.cfg"
+    cfg.write_text(IID_BASELINE_CFG, encoding="utf-8")
+    code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(tmp_path)])
+    assert code == 0 and err == ""
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == IID_BASELINE_DIGEST
 
 
 class TestFit:
@@ -718,6 +762,18 @@ class TestServeAndClient:
         ])
         assert code == 3
         assert "LISTENING" not in out and "54" in err
+
+    @pytest.mark.parametrize("epsilon, gamma, side", [("1", "5", "right"), ("inf", "0", "left")],
+                             ids=["all-right", "all-left"])
+    def test_serve_refuses_a_constant_walk_before_binding(self, capsys, epsilon, gamma, side):
+        # the threshold is 3 > n (gamma 5) or -2 = -n (gamma 0 at eps = inf):
+        # the estimate would be fixed before any answer, at every user's cost
+        code, out, err = run_main(capsys, [
+            "serve", "--bind", "127.0.0.1:0", "--clients", "2",
+            "--epsilon", epsilon, "--depth", "4", "--gamma", gamma, "--timeout", "1",
+        ])
+        assert code == 3
+        assert "LISTENING" not in out and f"every branch {side}" in err
 
     def test_serve_gamma_nan_exits_nonzero_before_binding(self, capsys):
         code, out, err = run_main(capsys, [

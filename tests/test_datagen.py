@@ -480,6 +480,36 @@ class TestIidCohort:
         assert not hasattr(cohort, "count_at_or_below")
 
 
+class TestFloatRead:
+    """``value_at(i)``, the Laplace baseline's read of one user, gives the bits
+    of ``values_at`` at index i."""
+
+    MODELS = [BetaScaled(1.0, 1.0, -1.0, 2.0), BetaScaled(2.0, 1.0, -1.0, 0.3),
+              BetaScaled(2.0, 2.0, -0.2, 0.6), TruncNormal(0.0, 0.3, -0.4, 0.2)]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["uniform", "beta(2,1)", "beta(2,2)", "truncnorm"])
+    @pytest.mark.parametrize("kind", ["deferred", "materialized", "fixed"])
+    def test_one_value_is_the_array_read(self, model, kind):
+        n = 1000
+        cohort = fixed_cohort(model, n) if kind == "fixed" else iid_cohort(model, n, make_rng(409))
+        if kind == "materialized":
+            cohort = Cohort(cohort.values_at(np.arange(n)), "iid")
+        floats = [cohort.value_at(i) for i in range(n)]
+        assert all(type(x) is float for x in floats)
+        assert np.array(floats).tobytes() == cohort.values_at(np.arange(n)).tobytes()
+
+    def test_fixed_level_is_numpy_division_past_2_53(self):
+        # numpy divides an index array by n - 1 as two floats; Python's exact
+        # i / (n - 1) rounds differently for some i once n - 1 > 2^53, and on
+        # [0, 1] with x_min 0 the value is the level itself
+        n, i = 2**60 + 5, 12345678901234567
+        assert i / (n - 1) != float(i) / float(n - 1)
+        cohort = fixed_cohort(BetaScaled(1.0, 1.0, 0.0, 1.0), n)
+        idx = [0, 1, i, n // 3, n - 2, n - 1]
+        floats = np.array([cohort.value_at(j) for j in idx])
+        assert floats.tobytes() == cohort.values_at(np.array(idx)).tobytes()
+
+
 class TestFatness:
     def test_uniform_constant(self):
         c = BetaScaled(1.0, 1.0, -1.0, 2.0).fatness_constant()

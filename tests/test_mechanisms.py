@@ -213,6 +213,21 @@ class TestLaplace:
             scalar = np.array([laplace_sanitize(0.0, budget, scalar_rng) for _ in range(9)])
             assert np.all(np.abs(vec - scalar) <= np.spacing(np.abs(scalar)))
 
+    @pytest.mark.parametrize("epsilon", [1.0, 4.0, 1.5e-308], ids=["scale2", "scale0.5", "scale1.33e308"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_float_noise_is_the_array_noise(self, epsilon):
+        # the float form gives the array form's bits, numpy's log included; at
+        # scale 1.33e308 the noise of a uniform near 0 or 1 overflows to +-inf
+        from ldpmin.mechanisms import laplace_noise, laplace_noise_one
+
+        budget = PrivacyBudget(epsilon)
+        scale = laplace_scale(budget)
+        edges = [0.0, 0.5, 1.0 - 2.0**-53, 5e-324]
+        u = np.concatenate([edges, make_rng(33).random(10**5)])
+        floats = np.array([laplace_noise_one(x, scale) for x in u.tolist()])
+        assert floats.tobytes() == laplace_noise(u, budget).tobytes()
+        assert type(laplace_noise_one(0.25, scale)) is float
+
     def test_median_and_mad_scale(self):
         # noise median ~ 0; median |noise| = b ln 2 recovers the scale
         budget = PrivacyBudget(0.8)

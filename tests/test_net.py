@@ -349,6 +349,28 @@ class TestFailurePaths:
         with pytest.raises(ValueError):
             MinServer(config, 2)
 
+    @pytest.mark.parametrize("config, side", [
+        (ProtocolConfig(epsilon=1.0, depth=4, gamma=5.0, n=2), "right"),  # threshold 3 > n
+        (ProtocolConfig(epsilon=math.inf, depth=4, gamma=0.0, n=2), "left"),  # threshold -n
+    ], ids=["all-right", "all-left"])
+    def test_constant_walk_refused_before_any_socket(self, monkeypatch, config, side):
+        # every branch is known before any answer: the session would spend
+        # every user's budget for nothing
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        assert config.degenerate_gamma is (side == "right")
+        assert config.always_left is (side == "left")
+        with pytest.raises(ValueError, match=f"every branch {side}"):
+            MinServer(config, 2)
+
+    def test_bench_loopback_config_walks(self):
+        # eps 32, depth 32, gamma 0.5 at n = 2: the threshold is 0
+        config = ProtocolConfig(epsilon=32.0, depth=32, gamma=0.5, n=2)
+        assert config.threshold == 0
+        assert not (config.degenerate_gamma or config.always_left)
+
     @pytest.mark.parametrize("timeout", [math.inf, math.nan, 0, 0.0, -1, 1e10, "5"])
     def test_bad_timeout_refused_before_any_socket(self, monkeypatch, timeout):
         # inf used to bind and then fail in settimeout with OverflowError

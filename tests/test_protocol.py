@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +14,8 @@ from ldpmin.mechanisms import (
     debias,
     laplace_noise,
     laplace_noise_many,
+    laplace_noise_one,
+    laplace_scale,
     phi_correction,
     rr_keep_probability,
     unbiased_phi,
@@ -266,6 +270,7 @@ class TestConfig:
             if -n <= s <= n:
                 assert (s >= threshold) == (debias(s, 2.0 * n, correction) >= config.gamma)
         assert config.degenerate_gamma == (debias(n, 2.0 * n, correction) < config.gamma)
+        assert config.always_left == (debias(-n, 2.0 * n, correction) >= config.gamma)
 
 
 class TestNonPrivate:
@@ -516,10 +521,19 @@ class TestPrivateMin:
         assert t.rounds[0].branch == BRANCH_RIGHT
         assert t.estimate == 0.5
 
+    def test_zero_gamma_without_noise_forces_all_left(self):
+        # phi's least value, at all answers -1, is 0 at eps = inf: it reaches gamma 0
+        config = ProtocolConfig(epsilon=math.inf, depth=4, gamma=0.0, n=2)
+        t = run_private_min(fixed_cohort_of([0.5, 0.8]), config, make_rng(0))
+        assert t.config.always_left and not t.config.degenerate_gamma
+        assert [r.branch for r in t.rounds] == [BRANCH_LEFT] * 4
+        assert t.estimate == -0.9375
+
     def test_reachable_gamma_not_flagged(self):
         config = ProtocolConfig(epsilon=1.0, depth=2, gamma=0.5, n=4)
         t = run_private_min(fixed_cohort_of([0.0, 0.1, 0.2, 0.3]), config, make_rng(0))
         assert not t.config.degenerate_gamma
+        assert not t.config.always_left
 
 
 class TestEstimateOnly:
@@ -763,18 +777,56 @@ class TestBaseline:
 
     def test_iid_baseline_turns_few_uniforms_into_noise(self, monkeypatch):
         # all N uniforms are drawn, but only those of users who can hold the
-        # minimum pass through the noise transform
+        # minimum pass through the noise transform, in its array or float form
         seen = []
 
         def spy(u, budget):
             seen.append(u.size)
             return laplace_noise(u, budget)
 
+        def spy_one(u, scale):
+            seen.append(1)
+            return laplace_noise_one(u, scale)
+
         monkeypatch.setattr(protocol, "laplace_noise", spy)
+        monkeypatch.setattr(protocol, "laplace_noise_one", spy_one)
         rng = make_rng(13)
         cohort = iid_cohort(BetaScaled(2.0, 1.0, -1.0, 0.3), 2**20, rng)
         assert baseline_min(cohort, PrivacyBudget(1.0), rng) < -1.0
-        assert len(seen) == 1 and 1 <= seen[0] < 100
+        assert 1 <= sum(seen) < 100
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_pruned_minimum_cases_run_both_paths(self, monkeypatch):
+        # the oracle test's grid reads candidates as floats, and on arrays at
+        # a finite nonzero scale too, when they are more than FLOAT_CANDIDATES
+        calls = collections.Counter()
+
+        def spy(u, budget):
+            calls["array", 0.0 < laplace_scale(budget) < math.inf] += 1
+            return laplace_noise(u, budget)
+
+        def spy_one(u, scale):
+            calls["float"] += 1
+            return laplace_noise_one(u, scale)
+
+        monkeypatch.setattr(protocol, "laplace_noise", spy)
+        monkeypatch.setattr(protocol, "laplace_noise_one", spy_one)
+        oracle = TestBaseline.test_pruned_minimum_is_the_full_minimum
+        grid = {mark.args[0]: mark.args[1] for mark in oracle.pytestmark
+                if mark.name == "parametrize"}
+        for case in itertools.product(*(grid[name] for name in ("epsilon", "n", "model", "kind"))):
+            oracle(self, *case)
+        assert calls["float"] > 0 and calls["array", True] > 0 and calls["array", False] > 0
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, 0.0]])
+    def test_tied_zero_reports_resolve_as_np_min(self, values):
+        # at u = 1/2 every noise is -0.0, so the reports are 0.0 and -0.0; np.min
+        # over them picks one sign by its own order, not Python's first-wins
+        expected = np.float64((np.array(values) + laplace_noise(np.full(len(values), 0.5),
+                                                                PrivacyBudget(1.0))).min())
+        got = np.float64(baseline_min(fixed_cohort_of(values), PrivacyBudget(1.0),
+                                      ConstantRng(0.5)))
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("epsilon", [1.0, 8.0], ids=["eps1", "eps8"])
     def test_fixed_baseline_reads_few_values(self, epsilon):
