@@ -98,7 +98,10 @@ def _bound_row(spec, cell) -> tuple:
 
 
 def _parse_epsilon(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # refused below, as 'nan' is
     if math.isnan(value) or value <= 0:
         raise UsageError(f"--epsilon must be positive (or 'inf'), got {text!r}")
     return value

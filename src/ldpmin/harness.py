@@ -39,7 +39,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .datagen import BetaScaled, IidCounts, TruncNormal, fixed_cohort, iid_cohort
-from .params import choose_params
+from .params import choose_params, parse_schedule
 from .protocol import ProtocolConfig, baseline_min, private_min_estimate, run_nonprivate_min
 from .protocol import run_private_min  # noqa: F401 - bench hook
 
@@ -123,6 +123,7 @@ class ExperimentSpec:
             object.__setattr__(self, "xmin_grid", self.model.default_xmin_grid())
         if self.setting not in ("fixed", "iid"):
             raise ValueError(f"setting must be 'fixed' or 'iid', got {self.setting!r}")
+        parse_schedule(self.param_mode)  # a bad token fails here, before any run
         for name in ("n_grid", "epsilon_grid", "mechanisms"):
             grid = getattr(self, name)
             if not grid or len(set(grid)) != len(grid):
@@ -337,8 +338,8 @@ def guideline_curve(param_mode: str, alpha: float, n_grid, epsilon: float,
                     anchor: float | None = None) -> list[tuple[int, float]]:
     """Theoretical decay rate evaluated on the grid, for slope comparison.
 
-    (ln^3 N / (eps^2 N))^{1/2 alpha} under the known-lower-bound schedule,
-    ln^6 in the log-squared one.  When ``anchor`` is given, the curve is
+    (ln^p N / (eps^2 N))^{1/2 alpha}, p the schedule's log power: 3 with a
+    lower bound alpha0, 6 without.  When ``anchor`` is given, the curve is
     scaled to pass through it at the largest N; the guideline carries slope
     information only, never an absolute level.  A curve that is 0 there
     (eps = inf) has no slope and, anchored, is empty; one whose terms leave
@@ -346,7 +347,7 @@ def guideline_curve(param_mode: str, alpha: float, n_grid, epsilon: float,
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    log_power = 6.0 if param_mode == "unknown_alpha" else 3.0
+    log_power = parse_schedule(param_mode).log_power
     ns = sorted(int(n) for n in n_grid)
     try:
         raw = [(n, (math.log(n) ** log_power / (epsilon**2 * n)) ** (1.0 / (2.0 * alpha)))

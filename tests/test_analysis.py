@@ -11,7 +11,7 @@ from ldpmin.analysis import (
     tail_bound,
 )
 from ldpmin.datagen import BetaScaled, TruncNormal, fixed_cohort
-from ldpmin.params import gamma_threshold, params_known_alpha
+from ldpmin.params import choose_params, gamma_threshold
 from ldpmin.protocol import MAX_DEPTH, ProtocolConfig, run_private_min
 
 from conftest import make_rng
@@ -159,7 +159,7 @@ class TestErrorBounds:
         # statistical check: worst-case mean error of actual runs on a
         # uniform cohort stays under the closed form when it applies
         model = BetaScaled(1.0, 1.0, -1.0, 2.0)
-        config = params_known_alpha(4096, 1.0, 4.0)
+        config = choose_params("lower_alpha", 4096, 4.0)
         bound = error_bound(model, config, "fixed")
         assert bound.applicable
         cohort = fixed_cohort(model, config.n)

@@ -192,6 +192,14 @@ class TestSimulate:
         assert code == 3
         assert out == "" and err.startswith("error:") and "overflows" in err
 
+    @pytest.mark.parametrize("epsilon", ["abc", "", "1,5"])
+    def test_non_numeric_epsilon_is_usage_error(self, capsys, epsilon):
+        code, out, err = run_main(capsys, [
+            "simulate", "--data", "0.5", "--epsilon", epsilon, "--depth", "3", "--gamma", "0.5",
+        ])
+        assert code == 2
+        assert out == "" and err == f"error: --epsilon must be positive (or 'inf'), got {epsilon!r}\n"
+
     def test_gamma_nan_exits_nonzero(self, capsys):
         code, out, err = run_main(capsys, [
             "simulate", "--data", "0.5", "--epsilon", "1", "--depth", "3", "--gamma", "nan",
@@ -480,6 +488,15 @@ class TestExperiment:
         code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 3
         assert "unknown parameter mode 'unknown_alpha:50'" in err
+
+    def test_bad_schedule_token_names_the_config(self, capsys, tmp_path):
+        cfg = tmp_path / "gauss.cfg"
+        cfg.write_text(TINY_CFG.replace("lower_alpha", "gauss"), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_main(capsys, ["experiment", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert err == f"error: {cfg}: unknown parameter mode 'gauss'\n"
+        assert not out_dir.exists()
 
     def test_close_epsilons_get_their_own_guideline_files(self, capsys, tmp_path):
         cfg = tmp_path / "close.cfg"
@@ -782,6 +799,20 @@ class TestServeAndClient:
         ])
         assert code != 0
         assert "LISTENING" not in out and "gamma" in err
+
+    @pytest.mark.parametrize("epsilon", ["abc", "", "1,5"])
+    def test_serve_non_numeric_epsilon_is_usage_error_before_binding(self, capsys, monkeypatch,
+                                                                     epsilon):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(cli.net, "MinServer", no_socket)
+        code, out, err = run_main(capsys, [
+            "serve", "--bind", "127.0.0.1:0", "--clients", "2",
+            "--epsilon", epsilon, "--depth", "4", "--gamma", "0.1",
+        ])
+        assert code == 2
+        assert "LISTENING" not in out and err.startswith("error: --epsilon")
 
     def test_server_timeout_exits_nonzero(self, capsys):
         code, _, err = run_main(capsys, [

@@ -1,7 +1,7 @@
 """The hostile-input contract: whatever a config file or an argument vector
-holds, ``cli.main`` returns 0, 2 (usage) or 3 (runtime), and no exception
-escapes.  argparse's own refusals end in ``SystemExit(2)``, the same exit code
-a process sees.
+of ``simulate`` or ``serve`` holds, ``cli.main`` returns 0, 2 (usage) or 3
+(runtime), and no exception escapes.  argparse's own refusals end in
+``SystemExit(2)``, the same exit code a process sees.
 
 Every single edit of a small valid run (one key set to each of its hostile
 values, repeated, or dropped) is tried in turn, so each value reaches past the
@@ -10,11 +10,12 @@ parsers into the run where it can; hypothesis then tries pairs of edits.
 
 import contextlib
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ldpmin import cli
+from ldpmin import cli, net
 
 REALS = ["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "5e-324", "-5e-324", "-0.0", "0",
          "0.3", "1", "-1", "abc", ""]
@@ -62,6 +63,18 @@ ARGV_VALUES = {
     "--delta": REALS, "--mu": REALS, "--sigma": REALS, "--x-min": REALS,
     "--setting": CONFIG_VALUES["setting"], "--seed": SEEDS,
     "--data": [*REALS, "0.5,0.1", "0.5,nan", "1.5", ",", "0.5,5e-324,-0.0"],
+}
+
+# serve up to the bind: its run is stubbed out (see serve_exit_code), and every
+# host is numeric or empty, so no value waits on a socket or a name resolver
+SERVE_ARGV = {"--clients": "2", "--epsilon": "1", "--depth": "4", "--gamma": "0.1",
+              "--timeout": "1", "--bind": "127.0.0.1:0"}
+SERVE_VALUES = {
+    "--clients": [*SIZES, *INTS], "--epsilon": EPSILONS, "--depth": [*INTS, "54", "55"],
+    "--gamma": REALS, "--timeout": [*REALS, "1e9", "1e10"],
+    "--bind": ["127.0.0.1:0", ":0", "0.0.0.0:0", "192.0.2.1:0", "127.0.0.1", "127.0.0.1:",
+               ":", "", "127.0.0.1:abc", "127.0.0.1:-1", "127.0.0.1:65536",
+               f"127.0.0.1:{2**64}", "127.0.0.1:0x10"],
 }
 
 
@@ -134,6 +147,24 @@ def test_every_single_edit_of_a_simulate_argv(base):
     assert {0, 2} <= codes
 
 
+def serve_exit_code(pairs) -> int:
+    """``serve``'s exit code, its session aborted as soon as the server is bound."""
+    def aborted(server):
+        server._close()
+        raise net.SessionAborted("timeout")
+
+    with mock.patch.object(net.MinServer, "run", aborted):
+        return exit_code(["serve", *(a for pair in pairs for a in pair)])
+
+
+def test_every_single_edit_of_a_serve_argv():
+    codes = set()
+    for pairs in single_edits(SERVE_ARGV, SERVE_VALUES):
+        codes.add(serve_exit_code(pairs))
+        assert codes <= {0, 2, 3}, pairs
+    assert codes == {2, 3}  # the stubbed session always aborts
+
+
 @CONTRACT
 @given(pairs=edited(BASE_CONFIG, CONFIG_VALUES))
 def test_two_edits_of_a_config(tmp_path_factory, pairs):
@@ -145,6 +176,12 @@ def test_two_edits_of_a_config(tmp_path_factory, pairs):
 def test_two_edits_of_a_simulate_argv(base, data):
     argv = simulate_argv(data.draw(edited(base, ARGV_VALUES)))
     assert exit_code(argv) in (0, 2, 3), argv
+
+
+@CONTRACT
+@given(pairs=edited(SERVE_ARGV, SERVE_VALUES))
+def test_two_edits_of_a_serve_argv(pairs):
+    assert serve_exit_code(pairs) in (0, 2, 3), pairs
 
 
 @CONTRACT

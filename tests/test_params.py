@@ -1,13 +1,9 @@
 import math
+import re
 
 import pytest
 
-from ldpmin.params import (
-    choose_params,
-    gamma_threshold,
-    params_known_alpha,
-    params_unknown_alpha,
-)
+from ldpmin.params import Schedule, choose_params, gamma_threshold, parse_schedule
 from ldpmin.protocol import ProtocolConfig
 
 mpmath = pytest.importorskip("mpmath")
@@ -67,38 +63,38 @@ class TestGammaThreshold:
 
 class TestKnownAlphaSchedule:
     def test_depth_and_h_at_two_to_twenty(self):
-        p = params_known_alpha(2**20, 1.0, 4.0)
+        p = choose_params("lower_alpha", 2**20, 4.0)
         assert isinstance(p, ProtocolConfig)
         assert (p.epsilon, p.depth, p.n) == (4.0, 10, 2**20)
         assert p.gamma == gamma_threshold(4.0, 10, math.log(2**20) / 2.0, 2**20)
 
     def test_depth_floor(self):
-        assert params_known_alpha(2, 1.0, 1.0).depth == 1
+        assert choose_params("lower_alpha", 2, 1.0).depth == 1
 
     def test_half_alpha_doubles_depth(self):
-        p = params_known_alpha(2**10, 0.5, 1.0)
+        p = choose_params("known_alpha:0.5", 2**10, 1.0)
         assert p.depth == 10
         assert p.gamma == gamma_threshold(1.0, 10, math.log(2**10) / 1.0, 2**10)
 
     def test_gamma_is_cached_consistently(self):
-        p = params_known_alpha(5000, 1.0, 2.0)
+        p = choose_params("lower_alpha", 5000, 2.0)
         assert p.gamma == gamma_threshold(2.0, p.depth, math.log(5000) / 2.0, 5000)
 
     def test_discretization_below_target_rate(self):
         # 2^-L <= N^(-1/(2 alpha0)) so the grid never dominates the rate
         for n in (4, 100, 1024, 10**6):
             for alpha0 in (0.5, 1.0, 2.0, 3.5):
-                p = params_known_alpha(n, alpha0, 1.0)
+                p = choose_params(f"known_alpha:{alpha0!r}", n, 1.0)
                 assert 2.0**-p.depth <= n ** (-1.0 / (2 * alpha0)) * (1 + 1e-12)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            params_known_alpha(1, 1.0, 1.0)
+            choose_params("lower_alpha", 1, 1.0)
 
     @pytest.mark.parametrize("alpha0", [math.inf, math.nan, 0.0, -1.0])
     def test_rejects_alpha0_not_finite_and_positive(self, alpha0):
         with pytest.raises(ValueError, match="alpha0 must be finite and positive"):
-            params_known_alpha(1024, alpha0, 1.0)
+            choose_params(f"known_alpha:{alpha0!r}", 1024, 1.0)
 
     @pytest.mark.parametrize("alpha0", [5e-324, 1e-310])
     def test_alpha0_whose_depth_overflows_rejected(self, alpha0):
@@ -108,7 +104,7 @@ class TestKnownAlphaSchedule:
 
     def test_largest_alpha0_keeps_a_positive_h(self):
         # 2 alpha0 overflows past 2^1023; h = ln(N) / (2 alpha0) must not become 0
-        p = params_known_alpha(1024, 1.7e308, 1.0)
+        p = choose_params(f"known_alpha:{1.7e308!r}", 1024, 1.0)
         assert p.depth == 1 and p.gamma > 0.0
 
     def test_depth_past_float_resolution_rejected(self):
@@ -118,7 +114,7 @@ class TestKnownAlphaSchedule:
 
     def test_epsilon_below_float_resolution_rejected(self):
         with pytest.raises(ValueError, match="resolution"):
-            params_known_alpha(1000, 1.0, 1e-300)
+            choose_params("lower_alpha", 1000, 1e-300)
 
 
 def unknown_alpha_h(n):
@@ -127,38 +123,86 @@ def unknown_alpha_h(n):
 
 class TestUnknownAlphaSchedule:
     def test_presets_coincide_at_base(self):
-        lower = params_known_alpha(1000, 1.0, 2.0)
-        unknown = params_unknown_alpha(1000, 2.0)
+        lower = choose_params("lower_alpha", 1000, 2.0)
+        unknown = choose_params("unknown_alpha", 1000, 2.0)
         assert unknown == lower
         assert unknown.depth == 5
         assert unknown.gamma == gamma_threshold(2.0, 5, math.log(1000) / 2.0, 1000)
 
     def test_depth_at_two_to_twenty(self):
-        p = params_unknown_alpha(2**20, 1.0)
+        p = choose_params("unknown_alpha", 2**20, 1.0)
         assert (p.epsilon, p.depth, p.n) == (1.0, 21, 2**20)
         assert p.gamma == gamma_threshold(1.0, 21, unknown_alpha_h(2**20), 2**20)
 
     def test_monotone_in_n(self):
         grid = [2**k for k in range(2, 21)]
-        configs = [params_unknown_alpha(n, 1.0) for n in grid]
+        configs = [choose_params("unknown_alpha", n, 1.0) for n in grid]
         depths = [p.depth for p in configs]
         assert depths == sorted(depths)
         for n, p in zip(grid, configs):
             assert p.gamma == gamma_threshold(1.0, p.depth, unknown_alpha_h(n), n)
 
 
+# each stock token's (depth, gamma, threshold), recorded before the schedules
+# shared one builder; gamma as float.hex, so every bit is pinned
+STOCK_CONFIGS = [
+    ("lower_alpha", 2, 1.0, 1, "0x1.8a5866ec1ce7ep+0", 2),
+    ("lower_alpha", 1000, 2.0, 5, "0x1.d7d5ebc6ffe21p-2", -15),
+    ("lower_alpha", 4096, 4.0, 6, "0x1.49fb80faaa9c9p-3", -892),
+    ("lower_alpha", 2**20, 1.0, 10, "0x1.3177c2adf696ap-4", -44571),
+    ("lower_alpha", 2**16, math.inf, 8, "0x1.2d6abe44afc43p-6", -63124),
+    ("known_alpha:0.5", 2, 1.0, 1, "0x1.16d820c886559p+1", 3),
+    ("known_alpha:0.5", 1000, 2.0, 10, "0x1.3c97490a65c49p+0", 147),
+    ("known_alpha:0.5", 4096, 4.0, 12, "0x1.aa8dd83845347p-2", -112),
+    ("known_alpha:0.5", 2**20, 1.0, 20, "0x1.aa9055e707525p-3", -15291),
+    ("known_alpha:0.5", 2**16, math.inf, 16, "0x1.aa4499161cd47p-6", -62125),
+    ("known_alpha:2", 2, 1.0, 1, "0x1.16d820c886559p+0", 2),
+    ("known_alpha:2", 1000, 2.0, 3, "0x1.ae595ff4a9fc0p-3", -186),
+    ("known_alpha:2", 4096, 4.0, 3, "0x1.19c15ed9b70dbp-4", -2058),
+    ("known_alpha:2", 2**20, 1.0, 5, "0x1.bb354c847205cp-6", -98855),
+    ("known_alpha:2", 2**16, math.inf, 4, "0x1.aa4499161cd47p-7", -63830),
+    ("unknown_alpha", 2, 1.0, 1, "0x1.f3aad529e9811p-2", 0),
+    ("unknown_alpha", 1000, 2.0, 5, "0x1.d7d5ebc6ffe21p-2", -15),
+    ("unknown_alpha", 4096, 4.0, 8, "0x1.cd5b5019c6601p-3", -551),
+    ("unknown_alpha", 2**20, 1.0, 21, "0x1.c0641d2dde1b8p-3", -14031),
+    ("unknown_alpha", 2**16, math.inf, 13, "0x1.7deb6abb8de8cp-6", -62480),
+]
+
+
 class TestModeTokens:
-    def test_round_trips(self):
-        assert choose_params("lower_alpha", 500, 1.0) == params_known_alpha(500, 1.0, 1.0)
-        assert choose_params("known_alpha:2", 500, 1.0) == params_known_alpha(500, 2.0, 1.0)
-        assert choose_params("unknown_alpha", 500, 1.0) == params_unknown_alpha(500, 1.0)
+    @pytest.mark.parametrize("token, n, epsilon, depth, gamma, threshold", STOCK_CONFIGS)
+    def test_stock_configs_are_pinned(self, token, n, epsilon, depth, gamma, threshold):
+        p = choose_params(token, n, epsilon)
+        assert (p.epsilon, p.depth, p.gamma.hex(), p.threshold, p.n) == (
+            epsilon, depth, gamma, threshold, n)
 
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            choose_params("nope", 100, 1.0)
-        with pytest.raises(ValueError):
-            choose_params("known_alpha:x", 100, 1.0)
+    @pytest.mark.parametrize("token, schedule", [
+        ("lower_alpha", Schedule(1.0, 3.0)),
+        ("known_alpha:1", Schedule(1.0, 3.0)),
+        ("known_alpha:0.5", Schedule(0.5, 3.0)),
+        ("known_alpha: 2", Schedule(2.0, 3.0)),
+        ("known_alpha:1e-300", Schedule(1e-300, 3.0)),
+        ("unknown_alpha", Schedule(None, 6.0)),
+    ])
+    def test_parse_schedule(self, token, schedule):
+        assert parse_schedule(token) == schedule
 
-    def test_unknown_alpha_takes_no_argument(self):
-        with pytest.raises(ValueError, match="unknown parameter mode"):
-            choose_params("unknown_alpha:50", 500, 1.0)
+    @pytest.mark.parametrize("token, message", [
+        ("nope", "unknown parameter mode 'nope'"),
+        ("", "unknown parameter mode ''"),
+        ("known_alpha", "unknown parameter mode 'known_alpha'"),
+        ("unknown_alpha:50", "unknown parameter mode 'unknown_alpha:50'"),
+        ("lower_alpha:1", "unknown parameter mode 'lower_alpha:1'"),
+        ("Lower_Alpha", "unknown parameter mode 'Lower_Alpha'"),
+        ("known_alpha:", "bad parameter in mode 'known_alpha:'"),
+        ("known_alpha:x", "bad parameter in mode 'known_alpha:x'"),
+        ("known_alpha:inf", "alpha0 must be finite and positive, got inf"),
+        ("known_alpha:nan", "alpha0 must be finite and positive, got nan"),
+        ("known_alpha:0", "alpha0 must be finite and positive, got 0.0"),
+        ("known_alpha:-1", "alpha0 must be finite and positive, got -1.0"),
+    ])
+    def test_parse_schedule_refuses(self, token, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_schedule(token)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            choose_params(token, 500, 1.0)
